@@ -17,6 +17,8 @@ import bisect
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
+import numpy as np
+
 from repro.cluster.unionfind import DisjointSet
 from repro.errors import ClusteringError
 
@@ -179,6 +181,21 @@ class DendrogramBuilder:
         similarity: Optional[float] = None,
     ) -> None:
         self._merges.append(Merge(level, left, right, parent, similarity))
+
+    def record_merges(
+        self, level: int, parents: np.ndarray, children: np.ndarray
+    ) -> None:
+        """Record ``parents[k], children[k] -> parents[k]`` for every ``k``
+        at one level, without similarities.
+
+        ``parents`` and ``children`` are equal-length integer arrays with
+        ``parents[k] < children[k]`` — the shape of a partition diff's
+        records (:func:`repro.core.coarse.transition_merges`).
+        """
+        self._merges.extend(
+            Merge(level, parent, child, parent)
+            for parent, child in zip(parents.tolist(), children.tolist())
+        )
 
     @property
     def num_merges(self) -> int:

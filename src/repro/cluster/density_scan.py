@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.cluster.dendrogram import Dendrogram
+from repro.cluster.partition import improves_density
 from repro.errors import ClusteringError
 from repro.graph.graph import Graph
 
@@ -155,13 +156,14 @@ def best_cut(
 ) -> Tuple[int, float]:
     """The dendrogram level with maximum partition density.
 
-    Returns ``(level, density)``; ties break toward the *lowest* level
-    (finest partition), matching the naive scanner in
+    Returns ``(level, density)``; ties (see
+    :func:`repro.cluster.partition.improves_density`) break toward the
+    *lowest* level (finest partition), matching the naive scanner in
     :func:`repro.cluster.partition.best_partition`.
     """
     best_level = 0
     best_density = 0.0
     for point in density_curve(graph, dendrogram, edge_index):
-        if point.density > best_density:
+        if improves_density(point.density, best_density):
             best_level, best_density = point.level, point.density
     return best_level, best_density

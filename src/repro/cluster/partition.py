@@ -130,6 +130,23 @@ def partition_density(graph: Graph, labels: Sequence[int]) -> float:
     return 2.0 * total / m_total
 
 
+# Partition densities closer than this are a tie.  The incremental scan
+# (repro.cluster.density_scan) and the naive recomputation below sum the
+# same terms in different orders, so a true tie can come out a few ulps
+# apart; both scanners keep the lowest level of a tie.
+DENSITY_TIE_TOLERANCE = 1e-12
+
+
+def improves_density(candidate: float, best: float) -> bool:
+    """True when ``candidate`` beats ``best`` by more than a tie.
+
+    Scanners walk levels upward and replace their best only when this
+    holds, so ties — up to :data:`DENSITY_TIE_TOLERANCE` — break toward
+    the lowest level (the finest partition).
+    """
+    return candidate > best + DENSITY_TIE_TOLERANCE
+
+
 def best_partition(
     graph: Graph, dendrogram: Dendrogram
 ) -> Tuple[EdgePartition, int, float]:
@@ -137,7 +154,8 @@ def best_partition(
 
     Returns ``(partition, level, density)``.  This reproduces Ahn et al.'s
     "cut the dendrogram where partition density peaks" procedure on top of
-    either the fine- or coarse-grained dendrogram.
+    either the fine- or coarse-grained dendrogram.  Ties (see
+    :func:`improves_density`) break toward the lowest level.
     """
     if dendrogram.num_items != graph.num_edges:
         raise ClusteringError(
@@ -150,7 +168,7 @@ def best_partition(
     for level in seen_levels:
         labels = dendrogram.labels_at_level(level)
         d = partition_density(graph, labels)
-        if d > best_density:
+        if improves_density(d, best_density):
             best_labels, best_level, best_density = labels, level, d
     return EdgePartition(graph, best_labels), best_level, best_density
 

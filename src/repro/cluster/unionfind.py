@@ -223,8 +223,13 @@ class ChainArray:
         return self._c
 
     def copy(self) -> "ChainArray":
-        """Deep copy (used for epoch snapshots and per-thread copies)."""
-        dup = ChainArray(len(self._c), _init=self._c)
+        """Deep copy (used for epoch snapshots and per-thread copies).
+
+        Copies the array and the three counters directly: the cluster
+        count is already known, so no O(n) root scan is paid.
+        """
+        dup = ChainArray.__new__(ChainArray)
+        dup._c = list(self._c)
         dup._changes = self._changes
         dup._accesses = self._accesses
         dup._clusters = self._clusters

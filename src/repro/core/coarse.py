@@ -35,6 +35,11 @@ Implementation notes (documented deviations, none behavioural):
   state is reusable from any earlier position; its pending merge records
   carry their list position so a jump emits exactly the not-yet-emitted
   ones.
+
+State: the chained engine keeps the paper's :class:`ChainArray`; the
+batch and sharded engines keep a fully compressed ``int64`` label array
+(``lab[i]`` = minimum member of ``i``'s cluster) and derive a level's
+records at commit with one vectorized diff (:func:`transition_merges`).
 """
 
 from __future__ import annotations
@@ -125,6 +130,26 @@ class _PendingMerge:
     similarity: float
 
 
+# Per-level partition state: the chained engine's array C, or the batch
+# and sharded engines' fully compressed label array.
+ChainState = Union[ChainArray, np.ndarray]
+
+
+def _as_labels(state: ChainState) -> np.ndarray:
+    """Fully compressed labels of ``state`` (label arrays pass through)."""
+    if isinstance(state, ChainArray):
+        from repro.fast.batch_sweep import compress_labels
+
+        return compress_labels(np.asarray(state.raw(), dtype=np.int64))
+    return state
+
+
+def _num_clusters(state: ChainState) -> int:
+    if isinstance(state, ChainArray):
+        return state.num_clusters()
+    return int(np.count_nonzero(state == np.arange(state.size, dtype=np.int64)))
+
+
 @dataclass
 class _EpochState:
     """Snapshot ``Q = (beta, xi, p, C)`` plus pending merges.
@@ -138,7 +163,7 @@ class _EpochState:
     beta: int
     xi: int
     p: int
-    chain: ChainArray
+    chain: ChainState
     pending: List[_PendingMerge]
     deferred: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
@@ -197,30 +222,25 @@ class CoarseResult:
 
 
 def transition_merges(
-    before: ChainArray, after: ChainArray
-) -> List[Tuple[int, int, int]]:
-    """Merge records ``(c1, c2, parent)`` turning partition ``before`` into
-    ``after``.
+    before: np.ndarray, after: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Merge records ``parents[k], children[k] -> parents[k]`` turning
+    label array ``before`` into ``after`` (fully compressed, coarsening
+    ``before``).
 
-    ``after`` must be a refinement-coarsening of ``before`` (obtained from
-    it by merges).  For every group of ``before``-roots that share an
-    ``after``-cluster, the larger roots merge into the smallest one —
-    exactly the records the chain-array ``MERGE`` would have emitted.
-    Used by the parallel sweeper, whose per-thread merging has no global
-    merge-event stream.
+    Every ``before``-root whose ``after``-label differs merges into that
+    label — its group's smallest root, since an after-cluster's minimum
+    is a before-root — so the records are exactly those chain-array
+    ``MERGE`` would emit, ordered by parent, then child.  Used by the
+    drivers without a global merge-event stream.
     """
-    groups: dict = {}
-    for root in before.cluster_roots():
-        groups.setdefault(after.find(root), []).append(root)
-    merges: List[Tuple[int, int, int]] = []
-    for roots in groups.values():
-        if len(roots) < 2:
-            continue
-        roots.sort()
-        base = roots[0]
-        for other in roots[1:]:
-            merges.append((base, other, base))
-    return merges
+    roots = np.flatnonzero(before == np.arange(before.size, dtype=np.int64))
+    base = after[roots]
+    moved = base != roots
+    roots = roots[moved]
+    base = base[moved]
+    order = np.lexsort((roots, base))
+    return base[order], roots[order]
 
 
 class _CoarseSweeper:
@@ -243,6 +263,10 @@ class _CoarseSweeper:
     flushed when the bound breaks, on a state jump, and always before
     the sweep ends, so the final partition is unchanged.
     """
+
+    # True for drivers whose chunks merge on per-worker copies: they
+    # have no global merge-event stream, whatever the engine.
+    per_worker = False
 
     def __init__(
         self,
@@ -285,7 +309,7 @@ class _CoarseSweeper:
         # Chained serial replays saved merge events on a state jump; the
         # batch/sharded engines (and the parallel driver, which overrides
         # this) have no per-merge event stream and diff partitions instead.
-        self.records_by_diff = engine in ("batch", "sharded")
+        self.records_by_diff = engine != "chained" or self.per_worker
         self.graph = graph
         self.params = params
         self.tracer = as_tracer(tracer)
@@ -359,9 +383,16 @@ class _CoarseSweeper:
             self.counts_list = [len(commons) for _s, _p, commons in self.pairs]
             self.num_pairs = len(self.pairs)
 
-        self.chain = ChainArray(self.num_edges)
+        self.chain: ChainState = (
+            ChainArray(self.num_edges)
+            if engine == "chained"
+            else np.arange(self.num_edges, dtype=np.int64)
+        )
         self.builder = DendrogramBuilder(self.num_edges)
+        # The level so far: MERGE events (chained serial), or the states
+        # it passed through before ``self.chain``, diffed at commit.
         self.pending: List[_PendingMerge] = []
+        self.pending_states: List[ChainState] = []
         self.epochs: List[EpochRecord] = []
         self.rollback_list: List[_EpochState] = []
         # Deferred boundary pairs (sharded engine with epsilon > 0):
@@ -403,6 +434,7 @@ class _CoarseSweeper:
         self.p = state.p
         self.chain = state.chain.copy()
         self.pending = []
+        self.pending_states = []
         if state.deferred is None:
             self._deferred_a = np.empty(0, dtype=np.int64)
             self._deferred_b = np.empty(0, dtype=np.int64)
@@ -443,9 +475,9 @@ class _CoarseSweeper:
         """
         if self._deferred_a.size == 0:
             return
-        from repro.fast.batch_sweep import batch_chunk_merge, compress_labels
+        from repro.fast.batch_sweep import batch_components
 
-        lab = compress_labels(np.asarray(self.chain.raw(), dtype=np.int64))
+        lab = _as_labels(self.chain)
         da = lab[self._deferred_a]
         db = lab[self._deferred_b]
         live = da != db
@@ -455,18 +487,13 @@ class _CoarseSweeper:
         self._deferred_a = da[live]
         self._deferred_b = db[live]
         d = int(live.sum())
-        beta_local = self.chain.num_clusters()
+        beta_local = _num_clusters(lab)
         # d live pairs merge at most d cluster pairs; beta_local - d
         # lower-bounds the reconciled count.
         within = beta_local <= (1.0 + self.epsilon) * max(1, beta_local - d)
         if within and self.p < self.num_pairs:
             return
-        before = self.chain
-        after = batch_chunk_merge(before, self._deferred_a, self._deferred_b)
-        pos = max(self.p - 1, 0)
-        for c1, c2, parent in transition_merges(before, after):
-            self.pending.append(_PendingMerge(pos, c1, c2, parent, None))
-        self.chain = after
+        self._advance(batch_components(lab, self._deferred_a, self._deferred_b))
         self._clear_deferred()
 
     def _flush_deferred_tail(self) -> None:
@@ -480,19 +507,41 @@ class _CoarseSweeper:
         """
         if self._deferred_a.size == 0:
             return
-        from repro.fast.batch_sweep import batch_chunk_merge
+        from repro.fast.batch_sweep import batch_components
 
-        before = self.chain
-        after = batch_chunk_merge(before, self._deferred_a, self._deferred_b)
-        merges = transition_merges(before, after)
-        if merges:
-            self.level += 1
-            for c1, c2, parent in merges:
-                self.builder.record(self.level, c1, c2, parent, None)
-            self.tracer.count("merges", len(merges))
-        self.chain = after
-        self.beta = after.num_clusters()
+        lab = _as_labels(self.chain)
+        self._append_level(batch_components(lab, self._deferred_a, self._deferred_b))
+        self.beta = _num_clusters(self.chain)
         self._clear_deferred()
+
+    # ------------------------------------------------------------------
+    # level records of the diff-recorded drivers
+    # ------------------------------------------------------------------
+    def _advance(self, after: ChainState) -> None:
+        """Adopt ``after`` as the current partition within this level."""
+        self.pending_states.append(self.chain)
+        self.chain = after
+
+    def _record_diffs(self, states: Sequence[ChainState]) -> int:
+        """Record, at the current level, the merges between consecutive
+        partitions of ``states``; returns how many were recorded."""
+        labels = [_as_labels(s) for s in states]
+        merges = 0
+        for before, after in zip(labels, labels[1:]):
+            parents, children = transition_merges(before, after)
+            self.builder.record_merges(self.level, parents, children)
+            merges += int(parents.size)
+        return merges
+
+    def _append_level(self, after: np.ndarray) -> None:
+        """Record the transition to ``after`` as one extra level (none if
+        it merges nothing) and adopt ``after``."""
+        parents, children = transition_merges(_as_labels(self.chain), after)
+        if parents.size:
+            self.level += 1
+            self.builder.record_merges(self.level, parents, children)
+            self.tracer.count("merges", int(parents.size))
+        self.chain = after
 
     # ------------------------------------------------------------------
     # main loop
@@ -520,7 +569,11 @@ class _CoarseSweeper:
                 ):
                     chunk = self._collect_chunk()
                     self._apply_chunk(chunk)
-                    stop = self._epoch_boundary()
+                    self._maybe_flush_deferred()
+                    # Level bookkeeping: cluster count, level records,
+                    # snapshot, commit or rollback, state jump.
+                    with tracer.span("sweep:transition"):
+                        stop = self._epoch_boundary()
                 chunk_idx += 1
                 if stop:
                     break
@@ -528,9 +581,12 @@ class _CoarseSweeper:
             if self.stopped_by_phi and self.params.finalize_root:
                 self._merge_root()
 
+        chain = self.chain
+        if not isinstance(chain, ChainArray):
+            chain = ChainArray(self.num_edges, _init=chain.tolist())
         return CoarseResult(
             dendrogram=self.builder.build(),
-            chain=self.chain,
+            chain=chain,
             edge_index=self.index,
             epochs=self.epochs,
             num_levels=self.level,
@@ -585,6 +641,8 @@ class _CoarseSweeper:
             # (_apply_chunk_batch / _apply_chunk_sharded for built-ins).
             getattr(self, self.engine_spec.chunk_applier)(chunk)
             return
+        chain = self.chain
+        assert isinstance(chain, ChainArray)
         if self.store is not None:
             if self.store.streaming:
                 self._apply_chunk_streaming(chunk)
@@ -598,7 +656,7 @@ class _CoarseSweeper:
                     similarity = sims[pos]
                     start, end = offsets[pos], offsets[pos + 1]
                     for widx in range(start, end):
-                        outcome = self.chain.merge(c1[widx], c2[widx])
+                        outcome = chain.merge(c1[widx], c2[widx])
                         if outcome.merged:
                             self.pending.append(
                                 _PendingMerge(
@@ -622,7 +680,7 @@ class _CoarseSweeper:
                 for vk in commons:
                     i1 = index[graph.edge_id(vi, vk)]
                     i2 = index[graph.edge_id(vj, vk)]
-                    outcome = self.chain.merge(i1, i2)
+                    outcome = chain.merge(i1, i2)
                     if outcome.merged:
                         self.pending.append(
                             _PendingMerge(
@@ -644,6 +702,7 @@ class _CoarseSweeper:
         store = self.store
         assert store is not None
         chain = self.chain
+        assert isinstance(chain, ChainArray)
         with self.tracer.span("runtime:compute", workers=1):
             pos = chunk.start
             while pos < chunk.stop:
@@ -685,7 +744,7 @@ class _CoarseSweeper:
         carry no similarity: a batch level is one set-union, not a
         sequence of per-wedge events.
         """
-        from repro.fast.batch_sweep import batch_chunk_merge
+        from repro.fast.batch_sweep import batch_components
 
         store = self.store
         assert store is not None
@@ -695,19 +754,16 @@ class _CoarseSweeper:
         self.p = chunk.stop
         if w_start == w_end:
             return
-        before = self.chain
         # Window-at-a-time application is exact: union merges are
         # order-independent, so the partition after the last window
         # equals one whole-chunk contraction, and level records come
         # from the before/after diff either way.
-        after = before
+        after = _as_labels(self.chain)
         with self.tracer.span("runtime:compute", workers=1):
             for s, e in store.window_ranges(w_start, w_end):
                 c1w, c2w = store.window(s, e)
-                after = batch_chunk_merge(after, c1w, c2w, tracer=self.tracer)
-        for c1, c2, parent in transition_merges(before, after):
-            self.pending.append(_PendingMerge(chunk.start, c1, c2, parent, None))
-        self.chain = after
+                after = batch_components(after, c1w, c2w, tracer=self.tracer)
+        self._advance(after)
 
     def _apply_chunk_sharded(self, chunk: range) -> None:
         """Owner-computes chunk: per-shard local contraction + reconcile.
@@ -729,13 +785,12 @@ class _CoarseSweeper:
         self.p = chunk.stop
         if w_start == w_end:
             return
-        before = self.chain
         assert self.shard_part is not None
         # Window-at-a-time is exact here too: wedge ownership is static
         # (by edge slot), so the set of locally-applied vs deferred
         # boundary merges does not depend on how the window is split,
         # and deferred pairs are re-rooted at flush time anyway.
-        base = np.asarray(before.raw(), dtype=np.int64)
+        base = _as_labels(self.chain)
         with self.tracer.span("runtime:compute", workers=1):
             for s, e in store.window_ranges(w_start, w_end):
                 c1w, c2w = store.window(s, e)
@@ -748,10 +803,7 @@ class _CoarseSweeper:
                     defer_boundary=self.epsilon > 0,
                 )
                 self._push_deferred(deferred)
-        after = ChainArray(len(before), _init=base.tolist())
-        for c1, c2, parent in transition_merges(before, after):
-            self.pending.append(_PendingMerge(chunk.start, c1, c2, parent, None))
-        self.chain = after
+        self._advance(base)
 
     # ------------------------------------------------------------------
     # epoch boundary handling
@@ -759,8 +811,7 @@ class _CoarseSweeper:
     def _epoch_boundary(self) -> bool:
         """Handle one boundary; returns True when the sweep should stop."""
         params = self.params
-        self._maybe_flush_deferred()
-        beta_new = self.chain.num_clusters()
+        beta_new = _num_clusters(self.chain)
         preds = evaluate_predicates(
             self.beta, beta_new, self.num_edges, params.gamma, params.phi
         )
@@ -840,17 +891,24 @@ class _CoarseSweeper:
 
     def _commit(self, kind: str, beta_new: int) -> None:
         self.level += 1
-        for pm in self.pending:
-            self.builder.record(self.level, pm.c1, pm.c2, pm.parent, pm.similarity)
-        self.tracer.count("merges", len(self.pending))
+        if self.records_by_diff:
+            merges = self._record_diffs(self.pending_states + [self.chain])
+        else:
+            for pm in self.pending:
+                self.builder.record(
+                    self.level, pm.c1, pm.c2, pm.parent, pm.similarity
+                )
+            merges = len(self.pending)
+        self.tracer.count("merges", merges)
         self.tracer.event(
             "sweep:level",
             level=self.level,
             kind=kind,
-            merges=len(self.pending),
+            merges=merges,
             beta=beta_new,
         )
         self.pending = []
+        self.pending_states = []
         self.epochs.append(
             EpochRecord(
                 kind=kind,
@@ -895,14 +953,15 @@ class _CoarseSweeper:
             # state's own deferred pairs all sit at earlier positions
             # than the target's, so the flushed target subsumes them.)
             if target.deferred is not None:
-                from repro.fast.batch_sweep import batch_chunk_merge
+                from repro.fast.batch_sweep import batch_components
 
-                target.chain = batch_chunk_merge(target.chain, *target.deferred)
-                target.beta = target.chain.num_clusters()
+                target.chain = batch_components(
+                    _as_labels(target.chain), *target.deferred
+                )
+                target.beta = _num_clusters(target.chain)
                 target.deferred = None
             self._clear_deferred()
-            for c1, c2, parent in transition_merges(self.chain, target.chain):
-                self.builder.record(self.level, c1, c2, parent, None)
+            self._record_diffs([self.chain, target.chain])
             return
         current_pos = self.p
         for pm in target.pending:
@@ -954,6 +1013,7 @@ class _CoarseSweeper:
         self.beta = target.beta
         self.mode = Mode.TAIL if self.beta <= self.num_edges / 2.0 else Mode.HEAD
         self.pending = []
+        self.pending_states = []
         self.epoch_start_xi = self.xi
         self.safe = self._snapshot()
         self.rollback_list = [
@@ -982,14 +1042,19 @@ class _CoarseSweeper:
 
     def _merge_root(self) -> None:
         """Merge the remaining clusters into one at the root level."""
-        roots = sorted(self.chain.cluster_roots())
+        chain = self.chain
+        if not isinstance(chain, ChainArray):
+            # Every label joins item 0, the minimum of every partition.
+            self._append_level(np.zeros(self.num_edges, dtype=np.int64))
+            return
+        roots = sorted(chain.cluster_roots())
         if len(roots) <= 1:
             return
         self.level += 1
         base = roots[0]
         merges = 0
         for other in roots[1:]:
-            outcome = self.chain.merge(base, other)
+            outcome = chain.merge(base, other)
             if outcome.merged:
                 merges += 1
                 self.builder.record(

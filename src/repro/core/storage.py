@@ -61,6 +61,7 @@ span per run (``spill_runs`` / ``bytes_spilled`` counters) and one
 from __future__ import annotations
 
 import dataclasses
+import functools
 import heapq
 import os
 import shutil
@@ -260,9 +261,10 @@ class PairStore:
 class InMemoryPairStore(PairStore):
     """The oracle: sorted columns + wedge stream as plain arrays.
 
-    Also caches the Python-list views the chained serial engine's inner
+    Also provides the Python-list views the chained serial engine's inner
     loop runs over (list indexing beats ndarray scalar indexing there),
-    exactly as the sweeper did before the store abstraction existed.
+    built on first use: the batch and sharded engines read only the
+    arrays, so they never pay for K2-sized lists.
     """
 
     kind = "memory"
@@ -285,11 +287,23 @@ class InMemoryPairStore(PairStore):
         self.offsets = sorted_columns.common_offsets
         self.c1 = c1
         self.c2 = c2
-        self.c1_list: List[int] = c1.tolist()
-        self.c2_list: List[int] = c2.tolist()
-        self.offsets_list: List[int] = self.offsets.tolist()
-        self.sims_list: List[float] = self.sims.tolist()
         tracer.gauge("store_bytes", self.store_bytes)
+
+    @functools.cached_property
+    def c1_list(self) -> List[int]:
+        return self.c1.tolist()
+
+    @functools.cached_property
+    def c2_list(self) -> List[int]:
+        return self.c2.tolist()
+
+    @functools.cached_property
+    def offsets_list(self) -> List[int]:
+        return self.offsets.tolist()
+
+    @functools.cached_property
+    def sims_list(self) -> List[float]:
+        return self.sims.tolist()
 
     @classmethod
     def build(

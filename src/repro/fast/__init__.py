@@ -8,7 +8,6 @@ by the test suite.
 
 from repro.fast.assoc import fast_association_graph
 from repro.fast.batch_sweep import (
-    batch_chunk_merge,
     batch_components,
     batch_join_rows,
     compress_labels,
@@ -22,7 +21,6 @@ from repro.fast.sweep import fast_sweep, wedge_stream
 
 __all__ = [
     "adjacency_matrix",
-    "batch_chunk_merge",
     "batch_components",
     "batch_join_rows",
     "compress_labels",

@@ -33,18 +33,16 @@ so a profiled run shows how many rounds each chunk needed.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
-from repro.cluster.unionfind import ChainArray
 from repro.errors import ClusteringError
 from repro.obs import as_tracer
 
 __all__ = [
     "compress_labels",
     "batch_components",
-    "batch_chunk_merge",
     "batch_join_rows",
 ]
 
@@ -132,25 +130,6 @@ def batch_components(
     if rounds:
         tracer.count("batch_rounds", rounds)
     return lab
-
-
-def batch_chunk_merge(
-    chain: ChainArray,
-    i1: np.ndarray,
-    i2: np.ndarray,
-    tracer=None,
-) -> ChainArray:
-    """One chunk of the batch engine: ``chain`` + edge pairs → new chain.
-
-    The :class:`ChainArray` bridge over :func:`batch_components`:
-    ``chain`` is left untouched (the epoch machine snapshots and rolls
-    back chains by reference) and a fresh, fully compressed array comes
-    back.  Partition-identical to running chained ``MERGE`` over the
-    same pairs in any order.
-    """
-    base = np.asarray(chain.raw(), dtype=np.int64)
-    merged = batch_components(base, i1, i2, tracer=tracer)
-    return ChainArray(len(chain), _init=merged.tolist())
 
 
 def batch_join_rows(

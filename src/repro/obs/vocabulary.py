@@ -50,6 +50,9 @@ SPANS: FrozenSet[str] = frozenset(
         "sweep:batch_round",
         "sweep:shard[*]",
         "sweep:reconcile",
+        # Level bookkeeping at an epoch boundary: cluster count, level
+        # records, snapshot, commit or rollback, state jump.
+        "sweep:transition",
         "runtime:spawn",
         "runtime:copy",
         "runtime:compute",

@@ -23,7 +23,10 @@ private dict, and the combine step is one concatenate + lexsort +
 segment-reduce in the parent — no dict re-pickling tournament.  Wedge
 keys ``(u, v, k)`` are globally unique, so the post-sort order (and
 therefore every floating-point sum) is identical to the serial columnar
-path regardless of the partitioning.
+path regardless of the partitioning.  Its pass 1 is one vectorized
+O(|E|) pass in the parent with the serial columnar kernel, so ``H1`` and
+``H2`` are summed in the serial order too: the output is bitwise
+identical to :func:`repro.fast.similarity.fast_similarity_columns`.
 """
 
 from __future__ import annotations
@@ -234,11 +237,14 @@ def parallel_similarity_columns(
     step is one concatenate + lexsort + segment-reduce in the parent —
     bitwise identical to :func:`repro.fast.similarity.fast_similarity_columns`
     (unique wedge keys force the same post-sort order, hence the same
-    summation order).  ``tracer`` gets the standard per-pass spans.
+    summation order, and pass 1 runs the serial kernel).  ``tracer``
+    gets the standard per-pass spans.
     """
     from repro.fast.similarity import (
         _adjacency_weights,
+        _csr_arrays,
         _group_wedges,
+        _h_arrays_columnar,
         _tanimoto,
     )
 
@@ -248,10 +254,12 @@ def parallel_similarity_columns(
     exec_backend = get_backend(backend, num_workers)
     parts = partition_range(graph.num_vertices, num_workers, scheme)
 
-    with tracer.span("init:pass1", workers=len(parts)):
-        h1_list, h2_list = _combine_h_arrays(graph, exec_backend, parts)
-        h1 = np.asarray(h1_list, dtype=np.float64)
-        h2 = np.asarray(h2_list, dtype=np.float64)
+    # Pass 1 is one vectorized O(|E|) pass: fanning it out costs more in
+    # dispatch than it saves, and the per-vertex Python sums of the dict
+    # path round differently from the serial columnar kernel.
+    with tracer.span("init:pass1", workers=1):
+        indptr, _indices, weights = _csr_arrays(graph)
+        h1, h2 = _h_arrays_columnar(indptr, weights)
 
     with tracer.span("init:pass2", workers=len(parts)):
         partials = exec_backend.map(

@@ -14,13 +14,14 @@ Both steps run on a persistent :class:`~repro.parallel.runtime.SweepRuntime`
 chunk and epoch, exactly as the paper's pthreads outlive the run.
 
 All epoch-machine logic (modes, rollback, chunk estimation, reuse) is
-inherited from the serial driver; only chunk application and state-jump
-merge recording differ.  Because per-thread merge events cannot be
-interleaved into one global stream, dendrogram records for a level are
-derived by *diffing* the cluster partition before and after the chunk
+inherited from the serial driver; only chunk application differs.
+Because per-thread merge events cannot be interleaved into one global
+stream, dendrogram records for a level are derived by *diffing* the
+cluster partition before and after the chunk
 (:func:`repro.core.coarse.transition_merges`), which yields the same
 partition at every level (merge records within a level are unordered by
-construction).
+construction).  The batch and sharded engines carry fully compressed
+label arrays through the runtime; the chained engine carries array ``C``.
 """
 
 from __future__ import annotations
@@ -28,12 +29,13 @@ from __future__ import annotations
 from typing import List, Optional, Sequence, Tuple, Union
 
 from repro.core.cancel import CancelToken
+from repro.cluster.unionfind import ChainArray
 from repro.core.coarse import (
     CoarseParams,
+    ChainState,
     CoarseResult,
+    _as_labels,
     _CoarseSweeper,
-    _PendingMerge,
-    transition_merges,
 )
 from repro.core.simcolumns import SimilarityColumns
 from repro.core.similarity import SimilarityMap, compute_similarity_map
@@ -52,6 +54,10 @@ from repro.parallel.runtime import _merge_worker  # noqa: F401
 
 class _ParallelCoarseSweeper(_CoarseSweeper):
     """Coarse sweeper whose chunks run on a persistent sweep runtime."""
+
+    # Per-worker merging never yields a global merge-event stream,
+    # regardless of engine: level records always come from diffs.
+    per_worker = True
 
     def __init__(
         self,
@@ -78,9 +84,6 @@ class _ParallelCoarseSweeper(_CoarseSweeper):
             storage=storage,
         )
         self._runtime = runtime
-        # Per-worker merging never yields a global merge-event stream,
-        # regardless of engine: level records always come from diffs.
-        self.records_by_diff = True
 
     def _apply_chunk(self, chunk: range) -> None:
         if self.store is not None:
@@ -95,20 +98,21 @@ class _ParallelCoarseSweeper(_CoarseSweeper):
             if w_start == w_end:
                 return  # nothing to merge; the runtime is not consulted
             before = self.chain
+            after: ChainState
             if self.engine == "batch":
-                after = self._runtime.chunk_batch_range(before, w_start, w_end)
+                after = self._runtime.chunk_batch_range(
+                    _as_labels(before), w_start, w_end
+                )
             elif self.engine == "sharded":
                 after, deferred = self._runtime.chunk_sharded_range(
-                    before, w_start, w_end, defer_boundary=self.epsilon > 0
+                    _as_labels(before), w_start, w_end, defer_boundary=self.epsilon > 0
                 )
                 self._push_deferred(deferred)
             else:
+                assert isinstance(before, ChainArray)
                 after = self._runtime.chunk_merge_range(before, w_start, w_end)
-            if after is before:
-                return
-            for c1, c2, parent in transition_merges(before, after):
-                self.pending.append(_PendingMerge(chunk.start, c1, c2, parent, None))
-            self.chain = after
+            if after is not before:
+                self._advance(after)
             return
 
         graph = self.graph
@@ -128,14 +132,10 @@ class _ParallelCoarseSweeper(_CoarseSweeper):
             return  # nothing to merge; the runtime is not consulted
 
         before = self.chain
+        assert isinstance(before, ChainArray)
         after = self._runtime.chunk_merge(before, edge_pairs)
-        if after is before:
-            return
-        # Level records come from the partition diff; positions anchor at
-        # the chunk start (sufficient: jumps re-derive records by diff).
-        for c1, c2, parent in transition_merges(before, after):
-            self.pending.append(_PendingMerge(chunk.start, c1, c2, parent, None))
-        self.chain = after
+        if after is not before:
+            self._advance(after)
 
 
 def parallel_coarse_sweep(

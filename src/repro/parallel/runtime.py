@@ -31,7 +31,7 @@ import threading
 import time
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, TypeVar, Union
 
 import numpy as np
 
@@ -40,7 +40,7 @@ from repro.core.registry import backend_names, make_runtime
 from repro.core.storage import PairFileSpec
 from repro.errors import ParameterError
 from repro.obs import NULL_TRACER
-from repro.fast.batch_sweep import batch_chunk_merge, batch_components, batch_join_rows
+from repro.fast.batch_sweep import batch_components, batch_join_rows
 from repro.parallel.merge_arrays import hierarchical_merge
 from repro.parallel.partitioner import (
     ShardedPartition,
@@ -50,6 +50,7 @@ from repro.parallel.partitioner import (
 from repro.parallel.pool import ExecutionBackend, SerialBackend, get_backend
 from repro.parallel.sharded_sweep import (
     ShardTask,
+    _empty_pairs,
     sharded_components,
     solve_shard,
 )
@@ -66,6 +67,8 @@ __all__ = [
 ]
 
 SWEEP_BACKENDS = backend_names()
+
+_T = TypeVar("_T")
 
 
 @dataclass
@@ -234,25 +237,26 @@ class SweepRuntime(ABC):
         )
 
     def chunk_batch_range(
-        self, chain: ChainArray, start: int, stop: int
-    ) -> ChainArray:
+        self, labels: np.ndarray, start: int, stop: int
+    ) -> np.ndarray:
         """Batch-engine counterpart of :meth:`chunk_merge_range`.
 
-        Unions the loaded pair columns' ``[start, stop)`` window into
-        ``chain`` with the vectorized connected-components kernel
-        (:func:`repro.fast.batch_sweep.batch_components`) instead of
-        sequential MERGE calls; same contract (never mutates ``chain``,
-        returns it unchanged for an empty window).  This baseline runs
-        one in-process contraction; :class:`LocalSweepRuntime` and
+        Unions the loaded pair columns' ``[start, stop)`` window into the
+        label array ``labels`` with the vectorized connected-components
+        kernel (:func:`repro.fast.batch_sweep.batch_components`) instead
+        of sequential MERGE calls, and returns the fully compressed
+        labels of the join.  Never mutates ``labels``; returns it
+        unchanged for an empty window.  This baseline runs one
+        in-process contraction; :class:`LocalSweepRuntime` and
         :class:`ShmSweepRuntime` override it with per-worker strided
         contractions plus a batch join.
         """
         i1, i2 = self._require_pairs(start, stop)
         self.stats.chunks += 1
         if start == stop:
-            return chain
+            return labels
         t0 = time.perf_counter()
-        after = batch_chunk_merge(chain, i1[start:stop], i2[start:stop])
+        after = batch_components(labels, i1[start:stop], i2[start:stop])
         dt = time.perf_counter() - t0
         self.stats.compute_time += dt
         self.tracer.record("runtime:compute", dt, workers=1)
@@ -260,18 +264,19 @@ class SweepRuntime(ABC):
 
     def chunk_sharded_range(
         self,
-        chain: ChainArray,
+        labels: np.ndarray,
         start: int,
         stop: int,
         defer_boundary: bool = False,
-    ) -> Tuple[ChainArray, Tuple[np.ndarray, np.ndarray]]:
-        """Sharded-engine counterpart of :meth:`chunk_merge_range`.
+    ) -> Tuple[np.ndarray, Tuple[np.ndarray, np.ndarray]]:
+        """Sharded-engine counterpart of :meth:`chunk_batch_range`.
 
         Splits the window's live root pairs by contiguous vertex
         ownership, contracts each shard locally, and reconciles the
         deduplicated boundary pairs
         (:func:`repro.parallel.sharded_sweep.sharded_components`).
-        Returns ``(chain', (deferred_a, deferred_b))``; the deferred
+        Returns ``(labels', (deferred_a, deferred_b))`` with ``labels'``
+        fully compressed; the deferred
         arrays are empty unless ``defer_boundary`` is set, in which
         case the boundary pairs come back for the driver's epsilon
         machinery instead of being applied.  This baseline solves the
@@ -281,29 +286,21 @@ class SweepRuntime(ABC):
         i1, i2 = self._require_pairs(start, stop)
         self.stats.chunks += 1
         if start == stop:
-            return chain, (
-                np.empty(0, dtype=np.int64),
-                np.empty(0, dtype=np.int64),
-            )
-        part = self._shard_partition(len(chain))
-        base = np.asarray(chain.raw(), dtype=np.int64)
+            return labels, _empty_pairs()
+        part = self._shard_partition(len(labels))
         t0 = time.perf_counter()
         merged, deferred, _stats = sharded_components(
-            base,
+            labels,
             i1[start:stop],
             i2[start:stop],
             part,
             tracer=self.tracer,
             defer_boundary=defer_boundary,
         )
-        t1 = time.perf_counter()
-        self.stats.compute_time += t1 - t0
-        self.tracer.record("runtime:compute", t1 - t0, workers=1)
-        after = ChainArray(len(chain), _init=merged.tolist())
-        t2 = time.perf_counter()
-        self.stats.copy_time += t2 - t1
-        self.tracer.record("runtime:copy", t2 - t1, copies=1)
-        return after, deferred
+        dt = time.perf_counter() - t0
+        self.stats.compute_time += dt
+        self.tracer.record("runtime:compute", dt, workers=1)
+        return merged, deferred
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(chunks={self.stats.chunks})"
@@ -517,8 +514,8 @@ class LocalSweepRuntime(SweepRuntime):
         return self._merge_on_copies(chain, _merge_arrays_worker, part_args)
 
     def chunk_batch_range(
-        self, chain: ChainArray, start: int, stop: int
-    ) -> ChainArray:
+        self, labels: np.ndarray, start: int, stop: int
+    ) -> np.ndarray:
         """Batch engine over the pool: strided contractions + batch join.
 
         Step 1 maps :func:`_batch_merge_worker` over the window's
@@ -532,14 +529,13 @@ class LocalSweepRuntime(SweepRuntime):
         i1, i2 = self._require_pairs(start, stop)
         self.stats.chunks += 1
         if start == stop:
-            return chain
+            return labels
         stats = self.stats
         parts = strided_partition(start, stop, self.num_workers)
-        base = np.asarray(chain.raw(), dtype=np.int64)
         if len(parts) == 1:
             # One busy worker: dispatch buys nothing; contract inline.
             t0 = time.perf_counter()
-            after = batch_chunk_merge(chain, i1[start:stop], i2[start:stop])
+            after = batch_components(labels, i1[start:stop], i2[start:stop])
             dt = time.perf_counter() - t0
             stats.compute_time += dt
             self.tracer.record("runtime:compute", dt, workers=1)
@@ -552,12 +548,12 @@ class LocalSweepRuntime(SweepRuntime):
             spec = self._pairs_file
             rows = self.backend.map(
                 _batch_file_merge_worker,
-                [(base, spec, p.start, p.stop, p.step) for p in parts],
+                [(labels, spec, p.start, p.stop, p.step) for p in parts],
             )
         else:
             rows = self.backend.map(
                 _batch_merge_worker,
-                [(base, i1[p.start : p.stop : p.step], i2[p.start : p.stop : p.step])
+                [(labels, i1[p.start : p.stop : p.step], i2[p.start : p.stop : p.step])
                  for p in parts],
             )
         stats.tasks += len(parts)
@@ -569,22 +565,15 @@ class LocalSweepRuntime(SweepRuntime):
         t3 = time.perf_counter()
         stats.merge_time += t3 - t2
         tracer.record("runtime:merge", t3 - t2)
-        # Materializing the result ChainArray is transport, not joining:
-        # it lands in copy_time so runtime:copy/runtime:merge spans stay
-        # comparable across engines (chained pays its copies up front).
-        after = ChainArray(len(chain), _init=joined.tolist())
-        t4 = time.perf_counter()
-        stats.copy_time += t4 - t3
-        tracer.record("runtime:copy", t4 - t3, copies=1)
-        return after
+        return joined
 
     def chunk_sharded_range(
         self,
-        chain: ChainArray,
+        labels: np.ndarray,
         start: int,
         stop: int,
         defer_boundary: bool = False,
-    ) -> Tuple[ChainArray, Tuple[np.ndarray, np.ndarray]]:
+    ) -> Tuple[np.ndarray, Tuple[np.ndarray, np.ndarray]]:
         """Sharded engine over the pool: owner-computes shard tasks.
 
         Classification and boundary reconciliation run on the host
@@ -598,14 +587,10 @@ class LocalSweepRuntime(SweepRuntime):
         i1, i2 = self._require_pairs(start, stop)
         self.stats.chunks += 1
         if start == stop:
-            return chain, (
-                np.empty(0, dtype=np.int64),
-                np.empty(0, dtype=np.int64),
-            )
+            return labels, _empty_pairs()
         stats = self.stats
         tracer = self.tracer
-        part = self._shard_partition(len(chain))
-        base = np.asarray(chain.raw(), dtype=np.int64)
+        part = self._shard_partition(len(labels))
         compute_cell = [0.0]
         busy_cell = [0]
 
@@ -623,7 +608,7 @@ class LocalSweepRuntime(SweepRuntime):
 
         t0 = time.perf_counter()
         merged, deferred, _stats = sharded_components(
-            base,
+            labels,
             i1[start:stop],
             i2[start:stop],
             part,
@@ -640,11 +625,7 @@ class LocalSweepRuntime(SweepRuntime):
         host_dt = max(0.0, (t1 - t0) - compute_cell[0])
         stats.merge_time += host_dt
         tracer.record("runtime:merge", host_dt)
-        after = ChainArray(len(chain), _init=merged.tolist())
-        t2 = time.perf_counter()
-        stats.copy_time += t2 - t1
-        tracer.record("runtime:copy", t2 - t1, copies=1)
-        return after, deferred
+        return merged, deferred
 
     def __repr__(self) -> str:
         return (
@@ -669,9 +650,9 @@ class ShmSweepRuntime(SweepRuntime):
         super().__init__()
         self.num_workers = num_workers
         self._arena: ShmArena | None = ShmArena(n, num_workers) if n is not None else None
-        # Host-side copy cost (list -> ChainArray materialization) that
-        # the arena cannot see; _sync_stats adds it to the arena's own
-        # copy_time so runtime:copy stays comparable across engines.
+        # Host-side copy cost (list -> ChainArray materialization on the
+        # chained engine) that the arena cannot see; _sync_stats adds it
+        # to the arena's own copy_time.
         self._host_copy_time = 0.0
 
     @property
@@ -699,7 +680,7 @@ class ShmSweepRuntime(SweepRuntime):
         if self._arena is not None:
             self._arena.shutdown()
 
-    def _run_on_arena(self, call: Callable[[], List[int]]) -> ChainArray:
+    def _run_on_arena(self, call: Callable[[], _T]) -> _T:
         """Run one arena chunk call and surface its cost deltas.
 
         The arena times its own steps (workers run out-of-process); this
@@ -712,10 +693,7 @@ class ShmSweepRuntime(SweepRuntime):
             stats.compute_time,
             stats.merge_time,
         )
-        merged_raw = call()
-        t0 = time.perf_counter()
-        result = ChainArray(len(merged_raw), _init=merged_raw)
-        self._host_copy_time += time.perf_counter() - t0
+        result = call()
         self._sync_stats()
         tracer = self.tracer
         spawn_dt = stats.spawn_time - before[0]
@@ -727,6 +705,13 @@ class ShmSweepRuntime(SweepRuntime):
         )
         tracer.record("runtime:merge", stats.merge_time - before[3])
         return result
+
+    def _as_chain(self, raw: List[int]) -> ChainArray:
+        """Wrap a chained-engine arena result (timed as host copy)."""
+        t0 = time.perf_counter()
+        chain = ChainArray(len(raw), _init=raw)
+        self._host_copy_time += time.perf_counter() - t0
+        return chain
 
     def _sync_pairs(self, arena: ShmArena, i1: np.ndarray, i2: np.ndarray) -> None:
         """Publish this sweep's pair columns to the arena if stale.
@@ -751,7 +736,7 @@ class ShmSweepRuntime(SweepRuntime):
             return chain
         arena = self._arena_for(len(chain))
         return self._run_on_arena(
-            lambda: arena.chunk_merge(list(chain.raw()), edge_pairs)
+            lambda: self._as_chain(arena.chunk_merge(list(chain.raw()), edge_pairs))
         )
 
     def chunk_merge_range(
@@ -764,12 +749,14 @@ class ShmSweepRuntime(SweepRuntime):
         arena = self._arena_for(len(chain))
         self._sync_pairs(arena, i1, i2)
         return self._run_on_arena(
-            lambda: arena.chunk_merge_range(list(chain.raw()), start, stop)
+            lambda: self._as_chain(
+                arena.chunk_merge_range(list(chain.raw()), start, stop)
+            )
         )
 
     def chunk_batch_range(
-        self, chain: ChainArray, start: int, stop: int
-    ) -> ChainArray:
+        self, labels: np.ndarray, start: int, stop: int
+    ) -> np.ndarray:
         """Batch engine over the arena (``("batch_range", ...)`` tasks).
 
         Same shared-memory transport as :meth:`chunk_merge_range` —
@@ -781,20 +768,20 @@ class ShmSweepRuntime(SweepRuntime):
         i1, i2 = self._require_pairs(start, stop)
         if start == stop:
             self.stats.chunks += 1
-            return chain
-        arena = self._arena_for(len(chain))
+            return labels
+        arena = self._arena_for(len(labels))
         self._sync_pairs(arena, i1, i2)
         return self._run_on_arena(
-            lambda: arena.chunk_batch_range(list(chain.raw()), start, stop)
+            lambda: arena.chunk_batch_range(labels, start, stop)
         )
 
     def chunk_sharded_range(
         self,
-        chain: ChainArray,
+        labels: np.ndarray,
         start: int,
         stop: int,
         defer_boundary: bool = False,
-    ) -> Tuple[ChainArray, Tuple[np.ndarray, np.ndarray]]:
+    ) -> Tuple[np.ndarray, Tuple[np.ndarray, np.ndarray]]:
         """Sharded engine over the arena (owner-computes shard tasks).
 
         The arena keeps array ``C`` once in shared memory; each resident
@@ -806,27 +793,16 @@ class ShmSweepRuntime(SweepRuntime):
         i1, i2 = self._require_pairs(start, stop)
         if start == stop:
             self.stats.chunks += 1
-            return chain, (
-                np.empty(0, dtype=np.int64),
-                np.empty(0, dtype=np.int64),
-            )
-        arena = self._arena_for(len(chain))
+            return labels, _empty_pairs()
+        arena = self._arena_for(len(labels))
         self._sync_pairs(arena, i1, i2)
         boundary_before = arena.boundary_edges
         rounds_before = arena.reconcile_rounds
-        box: Dict[str, Tuple[np.ndarray, np.ndarray]] = {}
-
-        def call() -> List[int]:
-            out, deferred = arena.chunk_sharded_range(
-                list(chain.raw()), start, stop, defer_boundary=defer_boundary
+        after, deferred = self._run_on_arena(
+            lambda: arena.chunk_sharded_range(
+                labels, start, stop, defer_boundary=defer_boundary
             )
-            # Detach from anything arena-owned before the box crosses
-            # back to the driver (the arrays are host copies already,
-            # but the contract is explicit).
-            box["deferred"] = (deferred[0].copy(), deferred[1].copy())
-            return out
-
-        after = self._run_on_arena(call)
+        )
         tracer = self.tracer
         tracer.gauge("shard_bytes", arena.shard_bytes)
         boundary_delta = arena.boundary_edges - boundary_before
@@ -835,7 +811,7 @@ class ShmSweepRuntime(SweepRuntime):
         rounds_delta = arena.reconcile_rounds - rounds_before
         if rounds_delta:
             tracer.count("reconcile_rounds", rounds_delta)
-        return after, box["deferred"]
+        return after, deferred
 
     def _sync_stats(self) -> None:
         """Mirror the arena's counters into this runtime's stats."""

@@ -321,9 +321,8 @@ def sharded_chunk_merge(
 ) -> ChainArray:
     """One exact sharded chunk as a :class:`ChainArray` bridge.
 
-    ``chain`` is left untouched (the epoch machine snapshots and rolls
-    back chains by reference); partition-identical to
-    :func:`~repro.fast.batch_sweep.batch_chunk_merge` over the same
+    ``chain`` is left untouched; partition-identical to
+    :func:`~repro.fast.batch_sweep.batch_components` over the same
     pairs.
     """
     base = np.asarray(chain.raw(), dtype=np.int64)

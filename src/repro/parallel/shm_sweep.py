@@ -46,6 +46,7 @@ from repro.parallel.partitioner import (
     strided_partition,
 )
 from repro.parallel.sharded_sweep import (
+    _empty_pairs,
     apply_relabels,
     dedupe_root_pairs,
     reconcile_labels,
@@ -546,6 +547,31 @@ class ShmArena:
     # ------------------------------------------------------------------
     # chunk processing
     # ------------------------------------------------------------------
+    def _check_base(self, base: Sequence[int] | np.ndarray) -> np.ndarray:
+        base_arr = np.asarray(base, dtype=np.int64)
+        if base_arr.shape != (self.n,):
+            raise ParameterError(
+                f"base must be one-dimensional of length {self.n}, "
+                f"got shape {base_arr.shape}"
+            )
+        return base_arr
+
+    def _check_window(
+        self, base: Sequence[int] | np.ndarray, start: int, stop: int, caller: str
+    ) -> np.ndarray:
+        """Validate a range call: ``base`` shape, loaded pairs, bounds."""
+        base_arr = self._check_base(base)
+        if self._pairs_host is None:
+            raise ParameterError(
+                f"no pair columns loaded — call load_pairs() before {caller}()"
+            )
+        if not (0 <= start <= stop <= self._pairs_len):
+            raise ParameterError(
+                f"pair range [{start}, {stop}) out of bounds for "
+                f"{self._pairs_len} loaded pairs"
+            )
+        return base_arr
+
     def chunk_merge(
         self, base: Sequence[int], edge_pairs: Sequence[Tuple[int, int]]
     ) -> List[int]:
@@ -555,12 +581,7 @@ class ShmArena:
         merged array after all pairs as a plain list — identical to
         serial processing (the join of the per-worker results).
         """
-        base_arr = np.asarray(base, dtype=np.int64)
-        if base_arr.shape != (self.n,):
-            raise ParameterError(
-                f"base must be one-dimensional of length {self.n}, "
-                f"got shape {base_arr.shape}"
-            )
+        base_arr = self._check_base(base)
         self.chunks += 1
         parts = [
             p for p in round_robin_partition(list(edge_pairs), self.num_workers) if p
@@ -605,22 +626,7 @@ class ShmArena:
         slice ``start + r :: num_workers``, which is exactly the
         round-robin partition of the range.
         """
-        base_arr = np.asarray(base, dtype=np.int64)
-        if base_arr.shape != (self.n,):
-            raise ParameterError(
-                f"base must be one-dimensional of length {self.n}, "
-                f"got shape {base_arr.shape}"
-            )
-        if self._pairs_host is None:
-            raise ParameterError(
-                "no pair columns loaded — call load_pairs() before "
-                "chunk_merge_range()"
-            )
-        if not (0 <= start <= stop <= self._pairs_len):
-            raise ParameterError(
-                f"pair range [{start}, {stop}) out of bounds for "
-                f"{self._pairs_len} loaded pairs"
-            )
+        base_arr = self._check_window(base, start, stop, "chunk_merge_range")
         self.chunks += 1
         total = stop - start
         if total == 0 or self.n == 0:
@@ -675,37 +681,24 @@ class ShmArena:
         return self._combine_rows(busy)
 
     def chunk_batch_range(
-        self, base: Sequence[int], start: int, stop: int
-    ) -> List[int]:
+        self, base: np.ndarray, start: int, stop: int
+    ) -> np.ndarray:
         """Batch-engine counterpart of :meth:`chunk_merge_range`.
 
         Worker ``r`` contracts its strided slice of pairs ``[start,
         stop)`` vectorized (:func:`repro.fast.batch_sweep.batch_components`)
         instead of walking the MERGE chain pair by pair, and the parent
         joins the resulting rows with one more vectorized contraction
-        (:func:`repro.fast.batch_sweep.batch_join_rows`).  Returns fully
-        compressed labels; the partition equals the chained result's.
+        (:func:`repro.fast.batch_sweep.batch_join_rows`).  ``base`` is a
+        label array (never mutated; returned as is for an empty window);
+        returns the fully compressed labels of the join as a host array.
+        The partition equals the chained result's.
         """
-        base_arr = np.asarray(base, dtype=np.int64)
-        if base_arr.shape != (self.n,):
-            raise ParameterError(
-                f"base must be one-dimensional of length {self.n}, "
-                f"got shape {base_arr.shape}"
-            )
-        if self._pairs_host is None:
-            raise ParameterError(
-                "no pair columns loaded — call load_pairs() before "
-                "chunk_batch_range()"
-            )
-        if not (0 <= start <= stop <= self._pairs_len):
-            raise ParameterError(
-                f"pair range [{start}, {stop}) out of bounds for "
-                f"{self._pairs_len} loaded pairs"
-            )
+        base_arr = self._check_window(base, start, stop, "chunk_batch_range")
         self.chunks += 1
         total = stop - start
         if total == 0 or self.n == 0:
-            return base_arr.tolist()
+            return base_arr
         parts = strided_partition(start, stop, min(self.num_workers, total))
         busy = len(parts)
         if busy == 1:
@@ -715,7 +708,7 @@ class ShmArena:
                 base_arr, host_i1[start:stop], host_i2[start:stop]
             )
             self.compute_time += time.perf_counter() - t0
-            return merged.tolist()
+            return merged
 
         self.start()
         assert self._matrix is not None
@@ -750,24 +743,20 @@ class ShmArena:
         self._collect(busy)
         self.compute_time += time.perf_counter() - t0
 
+        # The join's contraction copies the rows, so the result never
+        # aliases the shared block.
         t0 = time.perf_counter()
         joined = batch_join_rows([self._matrix[row] for row in range(busy)])
-        t1 = time.perf_counter()
-        self.merge_time += t1 - t0
-        # Materializing the Python list is copy traffic, not join work —
-        # keep it out of merge_time so runtime:merge stays comparable
-        # across engines.
-        out = joined.tolist()
-        self.copy_time += time.perf_counter() - t1
-        return out
+        self.merge_time += time.perf_counter() - t0
+        return joined
 
     def chunk_sharded_range(
         self,
-        base: Sequence[int],
+        base: np.ndarray,
         start: int,
         stop: int,
         defer_boundary: bool = False,
-    ) -> Tuple[List[int], Tuple[np.ndarray, np.ndarray]]:
+    ) -> Tuple[np.ndarray, Tuple[np.ndarray, np.ndarray]]:
         """Sharded-engine counterpart of :meth:`chunk_batch_range`.
 
         Owner-computes over the shared block: the compressed labels live
@@ -783,30 +772,15 @@ class ShmArena:
         and the owners broadcast the final relabels back into row 0.
 
         Returns ``(labels, (deferred_a, deferred_b))``: the fully
-        compressed labels as a plain list, plus the unapplied boundary
+        compressed labels as a host array, plus the unapplied boundary
         cluster pairs — non-empty only with ``defer_boundary=True``
         (plain host arrays, detached from shared memory).
         """
-        base_arr = np.asarray(base, dtype=np.int64)
-        if base_arr.shape != (self.n,):
-            raise ParameterError(
-                f"base must be one-dimensional of length {self.n}, "
-                f"got shape {base_arr.shape}"
-            )
-        if self._pairs_host is None:
-            raise ParameterError(
-                "no pair columns loaded — call load_pairs() before "
-                "chunk_sharded_range()"
-            )
-        if not (0 <= start <= stop <= self._pairs_len):
-            raise ParameterError(
-                f"pair range [{start}, {stop}) out of bounds for "
-                f"{self._pairs_len} loaded pairs"
-            )
+        base_arr = self._check_window(base, start, stop, "chunk_sharded_range")
         self.chunks += 1
-        empty = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
+        empty = _empty_pairs()
         if stop - start == 0 or self.n == 0:
-            return base_arr.tolist(), empty
+            return base_arr, empty
         host_i1, host_i2 = self._pairs_host
         part = self.shard_partition()
         if self.num_workers == 1 or part.num_shards < 2:
@@ -823,7 +797,7 @@ class ShmArena:
             self.compute_time += time.perf_counter() - t0
             self.boundary_edges += cstats.boundary_edges
             self.reconcile_rounds += cstats.reconcile_rounds
-            return merged.tolist(), deferred
+            return merged, deferred
 
         self.start()
         assert self._matrix is not None
@@ -839,7 +813,7 @@ class ShmArena:
         b = b[live]
         if a.size == 0:
             self.merge_time += time.perf_counter() - t0
-            return lab.tolist(), empty
+            return lab, empty
         cls = part.classify(a, b)
         self.merge_time += time.perf_counter() - t0
 
@@ -923,7 +897,7 @@ class ShmArena:
         self.compute_time += time.perf_counter() - t0
 
         t0 = time.perf_counter()
-        out = self._matrix[0].tolist()
+        out = self._matrix[0].copy()
         self.copy_time += time.perf_counter() - t0
         return out, deferred
 

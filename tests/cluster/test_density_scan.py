@@ -138,6 +138,23 @@ class TestDegenerateShapes:
         assert partition_density(g, list(range(g.num_edges))) == 0.0
 
 
+def test_tie_within_rounding_breaks_to_lowest_level_in_both_scanners():
+    # Levels 11 and 13 have the same true density; the incremental and
+    # naive sums round it 1 ulp apart, so a strict ">" made the scanners
+    # disagree (11 vs 13).  Both must keep the lowest level of the tie.
+    g = generators.erdos_renyi(
+        10, 0.5, seed=305, weight=generators.random_weights(seed=305)
+    )
+    result = sweep(g)
+    densities = {
+        point.level: point.density for point in density_curve(g, result.dendrogram)
+    }
+    assert densities[11] == pytest.approx(densities[13], abs=1e-12)
+    level, _ = best_cut(g, result.dendrogram)
+    _, naive_level, _ = best_partition(g, result.dendrogram)
+    assert level == naive_level == 11
+
+
 @settings(max_examples=25, deadline=None)
 @given(n=st.integers(4, 11), p=st.floats(0.3, 0.9), seed=st.integers(0, 500))
 def test_property_incremental_equals_naive(n, p, seed):

@@ -81,6 +81,40 @@ class TestBatchEngineSerial:
         assert all(raw[i] <= i for i in range(len(raw)))
         assert result.chain.num_clusters() == len(set(result.chain.labels()))
 
+    @pytest.mark.parametrize("engine", ["batch", "sharded"])
+    @pytest.mark.parametrize("backend", [None, "thread", "shm"])
+    def test_label_state_builds_one_chain_array(
+        self, planted, monkeypatch, engine, backend
+    ):
+        """The level state is a label array on every backend: the only
+        ChainArray a batch or sharded sweep builds is the result's."""
+        from repro.cluster.unionfind import ChainArray
+        from repro.parallel.par_sweep import parallel_coarse_sweep
+
+        built = []
+        real_init = ChainArray.__init__
+        real_copy = ChainArray.copy
+
+        def counting_init(chain, *args, **kwargs):
+            built.append("init")
+            real_init(chain, *args, **kwargs)
+
+        def counting_copy(chain):
+            built.append("copy")
+            return real_copy(chain)
+
+        monkeypatch.setattr(ChainArray, "__init__", counting_init)
+        monkeypatch.setattr(ChainArray, "copy", counting_copy)
+        params = CoarseParams(phi=2, delta0=5)
+        if backend is None:
+            result = coarse_sweep(planted, params=params, engine=engine)
+        else:
+            result = parallel_coarse_sweep(
+                planted, params=params, num_workers=2, backend=backend, engine=engine
+            )
+        assert built == ["init"]
+        assert result.num_levels > 1
+
 
 @settings(max_examples=15, deadline=None)
 @given(

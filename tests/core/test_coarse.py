@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import random
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -214,11 +217,38 @@ def test_property_soundness_of_committed_levels(n, p, seed, gamma):
             assert epoch.beta_before / epoch.beta_after <= gamma + 1e-9
 
 
+def labels_of(chain):
+    return np.array(chain.labels(), dtype=np.int64)
+
+
+def records_of(before, after):
+    parents, children = transition_merges(before, after)
+    return list(zip(parents.tolist(), children.tolist(), parents.tolist()))
+
+
+def dict_walk_transition(before, after):
+    """The chain-array reference the vectorized diff replaced: group the
+    ``before``-roots by ``after``-cluster (dict insertion order) and
+    merge each group's larger roots into its smallest one."""
+    groups: dict = {}
+    for root in before.cluster_roots():
+        groups.setdefault(after.find(root), []).append(root)
+    merges = []
+    for roots in groups.values():
+        if len(roots) < 2:
+            continue
+        roots.sort()
+        base = roots[0]
+        for other in roots[1:]:
+            merges.append((base, other, base))
+    return merges
+
+
 class TestTransitionMerges:
     def test_empty_when_equal(self):
         c = ChainArray(5)
         c.merge(0, 1)
-        assert transition_merges(c, c.copy()) == []
+        assert records_of(labels_of(c), labels_of(c)) == []
 
     def test_records_regroupings(self):
         before = ChainArray(6)
@@ -226,14 +256,12 @@ class TestTransitionMerges:
         after = before.copy()
         after.merge(0, 2)
         after.merge(3, 4)
-        merges = transition_merges(before, after)
+        merges = records_of(labels_of(before), labels_of(after))
         assert (0, 2, 0) in merges
         assert (3, 4, 3) in merges
         assert len(merges) == 2
 
     def test_replay_reproduces_after_partition(self):
-        import random
-
         rng = random.Random(3)
         before = ChainArray(20)
         for _ in range(8):
@@ -242,9 +270,35 @@ class TestTransitionMerges:
         for _ in range(8):
             after.merge(rng.randrange(20), rng.randrange(20))
         replay = before.copy()
-        for c1, c2, _ in transition_merges(before, after):
+        for c1, c2, _ in records_of(labels_of(before), labels_of(after)):
             replay.merge(c1, c2)
         assert replay.labels() == after.labels()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(1, 40),
+    seed=st.integers(0, 10_000),
+    before_merges=st.integers(0, 40),
+    after_merges=st.integers(0, 40),
+)
+def test_property_vectorized_diff_equals_dict_walk(
+    n, seed, before_merges, after_merges
+):
+    """Random partition, random coarsening of it: the vectorized diff
+    returns exactly the dict walk's records, in the same order — from
+    the compressed labels and from the raw (uncompressed) array C."""
+    rng = random.Random(seed)
+    before = ChainArray(n)
+    for _ in range(before_merges):
+        before.merge(rng.randrange(n), rng.randrange(n))
+    after = before.copy()
+    for _ in range(after_merges):
+        after.merge(rng.randrange(n), rng.randrange(n))
+    expected = dict_walk_transition(before, after)
+    assert records_of(labels_of(before), labels_of(after)) == expected
+    raw_before = np.asarray(before.raw(), dtype=np.int64)
+    assert records_of(raw_before, labels_of(after)) == expected
 
 
 class TestFixedChunkSweep:

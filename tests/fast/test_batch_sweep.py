@@ -1,9 +1,10 @@
 """Unit tests for the vectorized batch union-find kernels.
 
 The kernels must reproduce the chained oracle's *partition* exactly:
-``batch_components`` is checked against a classic DSU, ``batch_chunk_merge``
-against a sequential ``ChainArray`` MERGE walk, and ``batch_join_rows``
-against the reference DSU join.
+``batch_components`` is checked against a classic DSU and, as the batch
+engine's per-chunk step on label arrays, against a sequential
+``ChainArray`` MERGE walk; ``batch_join_rows`` against the reference DSU
+join.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from hypothesis import strategies as st
 from repro.cluster.unionfind import ChainArray, DisjointSet
 from repro.errors import ClusteringError
 from repro.fast.batch_sweep import (
-    batch_chunk_merge,
     batch_components,
     batch_join_rows,
     compress_labels,
@@ -145,24 +145,26 @@ class TestBatchComponents:
 
 
 class TestBatchChunkMerge:
+    """One batch-engine chunk: a label array plus pairs -> new labels."""
+
     def test_matches_sequential_merge(self):
         n = 35
         i1, i2 = random_edges(n, 50, seed=11)
         oracle = ChainArray(n)
         for a, b in zip(i1.tolist(), i2.tolist()):
             oracle.merge(a, b)
-        merged = batch_chunk_merge(ChainArray(n), i1, i2)
-        assert merged.labels() == oracle.labels()
-        assert merged.num_clusters() == oracle.num_clusters()
+        merged = batch_components(np.arange(n, dtype=np.int64), i1, i2)
+        assert merged.tolist() == oracle.labels()
+        assert int(np.count_nonzero(merged == np.arange(n))) == oracle.num_clusters()
 
     def test_original_chain_untouched(self):
-        chain = ChainArray(5)
-        merged = batch_chunk_merge(
-            chain, np.array([0], dtype=np.int64), np.array([4], dtype=np.int64)
+        labels = np.arange(5, dtype=np.int64)
+        merged = batch_components(
+            labels, np.array([0], dtype=np.int64), np.array([4], dtype=np.int64)
         )
-        assert chain.labels() == list(range(5))
-        assert merged is not chain
-        assert merged.find(4) == 0
+        assert labels.tolist() == list(range(5))
+        assert merged is not labels
+        assert merged[4] == 0
 
 
 class TestBatchJoinRows:

@@ -8,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.cluster.unionfind import ChainArray
@@ -31,6 +32,15 @@ def reference_merge(base, pairs):
     for a, b in pairs:
         chain.merge(a, b)
     return chain.labels()
+
+
+def identity(n):
+    """The batch/sharded engines' initial state: every item its own label."""
+    return np.arange(n, dtype=np.int64)
+
+
+def num_roots(labels):
+    return int(np.count_nonzero(labels == np.arange(labels.size)))
 
 
 def random_chunks(n, num_chunks, pairs_per_chunk, seed=0):
@@ -151,13 +161,13 @@ class TestChunkBatchRange:
     def test_requires_load_pairs(self, backend):
         with get_sweep_runtime(backend, 2) as runtime:
             with pytest.raises(ParameterError, match="load_pairs"):
-                runtime.chunk_batch_range(ChainArray(6), 0, 1)
+                runtime.chunk_batch_range(identity(6), 0, 1)
 
     def test_empty_range_returns_chain_unchanged(self, backend):
         with get_sweep_runtime(backend, 2) as runtime:
             runtime.load_pairs([0, 1], [1, 2])
-            chain = ChainArray(6)
-            assert runtime.chunk_batch_range(chain, 1, 1) is chain
+            labels = identity(6)
+            assert runtime.chunk_batch_range(labels, 1, 1) is labels
 
     def test_matches_chunk_merge_range(self, backend):
         n = 30
@@ -169,22 +179,22 @@ class TestChunkBatchRange:
                 chained.load_pairs(i1, i2)
                 batch.load_pairs(i1, i2)
                 chain_c = ChainArray(n)
-                chain_b = ChainArray(n)
+                labels_b = identity(n)
                 for start in range(0, len(pairs), 20):
                     stop = min(start + 20, len(pairs))
                     chain_c = chained.chunk_merge_range(chain_c, start, stop)
-                    chain_b = batch.chunk_batch_range(chain_b, start, stop)
-                    assert chain_c.labels() == chain_b.labels()
-                    assert chain_c.num_clusters() == chain_b.num_clusters()
-                assert chain_b.labels() == reference_merge(list(range(n)), pairs)
+                    labels_b = batch.chunk_batch_range(labels_b, start, stop)
+                    assert chain_c.labels() == labels_b.tolist()
+                    assert chain_c.num_clusters() == num_roots(labels_b)
+                assert labels_b.tolist() == reference_merge(list(range(n)), pairs)
 
     def test_more_workers_than_pairs(self, backend):
         # 8 workers over 3 pairs: strided partitioning never hands a
         # worker an empty share, and the result is still exact.
         with get_sweep_runtime(backend, 8) as runtime:
             runtime.load_pairs([0, 1, 2], [3, 4, 5])
-            chain = runtime.chunk_batch_range(ChainArray(6), 0, 3)
-            assert chain.labels() == reference_merge(
+            labels = runtime.chunk_batch_range(identity(6), 0, 3)
+            assert labels.tolist() == reference_merge(
                 list(range(6)), [(0, 3), (1, 4), (2, 5)]
             )
 
@@ -195,10 +205,10 @@ class TestChunkBatchRange:
         pairs = [p for chunk in random_chunks(n, 3, 20, seed=13) for p in chunk]
         with ShmSweepRuntime(3) as runtime:
             runtime.load_pairs([a for a, _ in pairs], [b for _, b in pairs])
-            chain = ChainArray(n)
+            labels = identity(n)
             for start in range(0, len(pairs), 20):
-                chain = runtime.chunk_batch_range(
-                    chain, start, min(start + 20, len(pairs))
+                labels = runtime.chunk_batch_range(
+                    labels, start, min(start + 20, len(pairs))
                 )
             arena = runtime.arena
             assert arena.batch_tasks > 0
@@ -215,14 +225,14 @@ class TestChunkShardedRange:
     def test_requires_load_pairs(self, backend):
         with get_sweep_runtime(backend, 2) as runtime:
             with pytest.raises(ParameterError, match="load_pairs"):
-                runtime.chunk_sharded_range(ChainArray(6), 0, 1)
+                runtime.chunk_sharded_range(identity(6), 0, 1)
 
     def test_empty_range_returns_chain_unchanged(self, backend):
         with get_sweep_runtime(backend, 2) as runtime:
             runtime.load_pairs([0, 1], [1, 2])
-            chain = ChainArray(6)
-            after, (da, db) = runtime.chunk_sharded_range(chain, 1, 1)
-            assert after is chain
+            labels = identity(6)
+            after, (da, db) = runtime.chunk_sharded_range(labels, 1, 1)
+            assert after is labels
             assert da.size == 0 and db.size == 0
 
     def test_matches_chunk_merge_range(self, backend):
@@ -235,17 +245,17 @@ class TestChunkShardedRange:
                 chained.load_pairs(i1, i2)
                 sharded.load_pairs(i1, i2)
                 chain_c = ChainArray(n)
-                chain_s = ChainArray(n)
+                labels_s = identity(n)
                 for start in range(0, len(pairs), 20):
                     stop = min(start + 20, len(pairs))
                     chain_c = chained.chunk_merge_range(chain_c, start, stop)
-                    chain_s, (da, db) = sharded.chunk_sharded_range(
-                        chain_s, start, stop
+                    labels_s, (da, db) = sharded.chunk_sharded_range(
+                        labels_s, start, stop
                     )
                     assert da.size == 0 and db.size == 0  # exact mode
-                    assert chain_c.labels() == chain_s.labels()
-                    assert chain_c.num_clusters() == chain_s.num_clusters()
-                assert chain_s.labels() == reference_merge(list(range(n)), pairs)
+                    assert chain_c.labels() == labels_s.tolist()
+                    assert chain_c.num_clusters() == num_roots(labels_s)
+                assert labels_s.tolist() == reference_merge(list(range(n)), pairs)
 
     def test_more_workers_than_vertices(self, backend):
         # 8 workers over a 6-slot C: the ownership map clamps to 6
@@ -253,14 +263,12 @@ class TestChunkShardedRange:
         # result is still exact.
         with get_sweep_runtime(backend, 8) as runtime:
             runtime.load_pairs([0, 1, 2], [3, 4, 5])
-            chain, _ = runtime.chunk_sharded_range(ChainArray(6), 0, 3)
-            assert chain.labels() == reference_merge(
+            labels, _ = runtime.chunk_sharded_range(identity(6), 0, 3)
+            assert labels.tolist() == reference_merge(
                 list(range(6)), [(0, 3), (1, 4), (2, 5)]
             )
 
     def test_defer_boundary_heals_to_exact(self, backend):
-        import numpy as np
-
         from repro.parallel.sharded_sweep import (
             apply_relabels,
             reconcile_labels,
@@ -272,14 +280,14 @@ class TestChunkShardedRange:
         i2 = [b for _, b in pairs]
         with get_sweep_runtime(backend, 3) as runtime:
             runtime.load_pairs(i1, i2)
-            exact, _ = runtime.chunk_sharded_range(ChainArray(n), 0, len(pairs))
+            exact, _ = runtime.chunk_sharded_range(identity(n), 0, len(pairs))
             partial, (da, db) = runtime.chunk_sharded_range(
-                ChainArray(n), 0, len(pairs), defer_boundary=True
+                identity(n), 0, len(pairs), defer_boundary=True
             )
         keys, vals, _ = reconcile_labels(da, db)
-        healed = np.asarray(partial.raw(), dtype=np.int64)
+        healed = partial.copy()
         apply_relabels(healed, keys, vals)
-        assert healed.tolist() == list(exact.raw())
+        assert healed.tolist() == exact.tolist()
 
     def test_shm_dispatches_shard_tasks(self, backend):
         if backend != "shm":
@@ -288,10 +296,10 @@ class TestChunkShardedRange:
         pairs = [p for chunk in random_chunks(n, 3, 20, seed=13) for p in chunk]
         with ShmSweepRuntime(3) as runtime:
             runtime.load_pairs([a for a, _ in pairs], [b for _, b in pairs])
-            chain = ChainArray(n)
+            labels = identity(n)
             for start in range(0, len(pairs), 20):
-                chain, _ = runtime.chunk_sharded_range(
-                    chain, start, min(start + 20, len(pairs))
+                labels, _ = runtime.chunk_sharded_range(
+                    labels, start, min(start + 20, len(pairs))
                 )
             arena = runtime.arena
             assert arena.shard_tasks > 0
@@ -311,10 +319,10 @@ class TestChunkShardedRange:
         with get_sweep_runtime(backend, 3) as runtime:
             runtime.tracer = Tracer([sink])
             runtime.load_pairs([a for a, _ in pairs], [b for _, b in pairs])
-            chain = ChainArray(n)
+            labels = identity(n)
             for start in range(0, len(pairs), 20):
-                chain, _ = runtime.chunk_sharded_range(
-                    chain, start, min(start + 20, len(pairs))
+                labels, _ = runtime.chunk_sharded_range(
+                    labels, start, min(start + 20, len(pairs))
                 )
             runtime.tracer.flush()
         counters = sink.counters
@@ -322,13 +330,16 @@ class TestChunkShardedRange:
         assert counters["boundary_edges"] > 0
         names = set(sink.span_names())
         assert "runtime:compute" in names
-        assert "runtime:copy" in names
+        # Label arrays cross back without a rebuild: only the shm arena
+        # copies (labels into the shared block and the result out).
+        assert ("runtime:copy" in names) == (backend == "shm")
 
 
 class TestCopyMergeSplitAcrossEngines:
-    """Satellite contract: runtime:copy/runtime:merge mean the same
-    thing for every engine — merge is cross-worker joining only, copies
-    (ChainArray rebuilds, tolist crossings) land in copy."""
+    """runtime:copy/runtime:merge mean the same thing for every engine —
+    merge is cross-worker joining only, copies land in copy.  The batch
+    and sharded engines hand label arrays back without a rebuild, so on
+    the pool backends they charge no copy at all."""
 
     @pytest.mark.parametrize("backend", ["thread", "process"])
     def test_batch_range_emits_split_spans(self, backend):
@@ -340,38 +351,40 @@ class TestCopyMergeSplitAcrossEngines:
         with get_sweep_runtime(backend, 3) as runtime:
             runtime.tracer = Tracer([sink])
             runtime.load_pairs([a for a, _ in pairs], [b for _, b in pairs])
-            chain = ChainArray(n)
+            labels = identity(n)
             for start in range(0, len(pairs), 20):
-                chain = runtime.chunk_batch_range(
-                    chain, start, min(start + 20, len(pairs))
+                labels = runtime.chunk_batch_range(
+                    labels, start, min(start + 20, len(pairs))
                 )
             stats = runtime.stats
             assert stats.merge_time > 0.0
-            assert stats.copy_time > 0.0
+            assert stats.copy_time == 0.0
         names = set(sink.span_names())
-        assert {"runtime:compute", "runtime:merge", "runtime:copy"} <= names
+        assert {"runtime:compute", "runtime:merge"} <= names
+        assert "runtime:copy" not in names
 
     def test_sharded_range_emits_split_spans(self):
         from repro.obs import MemorySink, Tracer
 
         # Sharded chunks split the same way: worker seconds in compute,
-        # host classification + reconciliation in merge, ChainArray
-        # rebuild in copy — so cross-engine span comparisons are fair.
+        # host classification + reconciliation in merge, and no copy —
+        # so cross-engine span comparisons are fair.
         n = 30
         pairs = [p for chunk in random_chunks(n, 2, 20, seed=9) for p in chunk]
         sink = MemorySink()
         with get_sweep_runtime("thread", 3) as runtime:
             runtime.tracer = Tracer([sink])
             runtime.load_pairs([a for a, _ in pairs], [b for _, b in pairs])
-            chain = ChainArray(n)
+            labels = identity(n)
             for start in range(0, len(pairs), 20):
-                chain, _ = runtime.chunk_sharded_range(
-                    chain, start, min(start + 20, len(pairs))
+                labels, _ = runtime.chunk_sharded_range(
+                    labels, start, min(start + 20, len(pairs))
                 )
             assert runtime.stats.merge_time > 0.0
-            assert runtime.stats.copy_time > 0.0
+            assert runtime.stats.copy_time == 0.0
         names = set(sink.span_names())
-        assert {"runtime:compute", "runtime:merge", "runtime:copy"} <= names
+        assert {"runtime:compute", "runtime:merge"} <= names
+        assert "runtime:copy" not in names
 
 
 class TestPersistence:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,6 +19,10 @@ def serial_reference(base, pairs):
     for a, b in pairs:
         chain.merge(a, b)
     return chain.labels()
+
+
+def identity(n):
+    return np.arange(n, dtype=np.int64)
 
 
 def labels_of(raw):
@@ -186,19 +191,19 @@ class TestChunkBatchRange:
     def test_requires_load_pairs(self):
         with ShmArena(5, 2) as arena:
             with pytest.raises(ParameterError, match="load_pairs"):
-                arena.chunk_batch_range(list(range(5)), 0, 1)
+                arena.chunk_batch_range(identity(5), 0, 1)
 
     def test_range_bounds_checked(self):
         with ShmArena(5, 2) as arena:
             arena.load_pairs([0, 1], [1, 2])
             with pytest.raises(ParameterError, match="out of bounds"):
-                arena.chunk_batch_range(list(range(5)), 0, 3)
+                arena.chunk_batch_range(identity(5), 0, 3)
 
     def test_empty_range_is_identity(self):
         with ShmArena(5, 2) as arena:
             arena.load_pairs([0, 1], [1, 2])
-            base = list(range(5))
-            assert arena.chunk_batch_range(base, 1, 1) == base
+            base = identity(5)
+            assert arena.chunk_batch_range(base, 1, 1) is base
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_matches_chunk_merge_range(self, workers):
@@ -210,7 +215,7 @@ class TestChunkBatchRange:
             chained.load_pairs(i1, i2)
             batch.load_pairs(i1, i2)
             base_c = list(range(n))
-            base_b = list(range(n))
+            base_b = identity(n)
             for start in range(0, len(pairs), 17):
                 stop = min(start + 17, len(pairs))
                 base_c = chained.chunk_merge_range(base_c, start, stop)
@@ -221,7 +226,7 @@ class TestChunkBatchRange:
     def test_more_workers_than_pairs(self):
         with ShmArena(8, 6) as arena:
             arena.load_pairs([0, 1], [4, 5])
-            base = arena.chunk_batch_range(list(range(8)), 0, 2)
+            base = arena.chunk_batch_range(identity(8), 0, 2)
             assert labels_of(base) == serial_reference(
                 list(range(8)), [(0, 4), (1, 5)]
             )
@@ -231,7 +236,7 @@ class TestChunkBatchRange:
         pairs = self.make_pairs(n, 48, seed=9)
         with ShmArena(n, 3) as arena:
             arena.load_pairs([a for a, _ in pairs], [b for _, b in pairs])
-            base = list(range(n))
+            base = identity(n)
             for start in range(0, len(pairs), 12):
                 base = arena.chunk_batch_range(base, start, min(start + 12, 48))
             assert arena.batch_tasks > 0
@@ -250,20 +255,20 @@ class TestChunkShardedRange:
     def test_requires_load_pairs(self):
         with ShmArena(5, 2) as arena:
             with pytest.raises(ParameterError, match="load_pairs"):
-                arena.chunk_sharded_range(list(range(5)), 0, 1)
+                arena.chunk_sharded_range(identity(5), 0, 1)
 
     def test_range_bounds_checked(self):
         with ShmArena(5, 2) as arena:
             arena.load_pairs([0, 1], [1, 2])
             with pytest.raises(ParameterError, match="out of bounds"):
-                arena.chunk_sharded_range(list(range(5)), 0, 3)
+                arena.chunk_sharded_range(identity(5), 0, 3)
 
     def test_empty_range_is_identity(self):
         with ShmArena(5, 2) as arena:
             arena.load_pairs([0, 1], [1, 2])
-            base = list(range(5))
+            base = identity(5)
             merged, (da, db) = arena.chunk_sharded_range(base, 1, 1)
-            assert merged == base
+            assert merged is base
             assert da.size == 0 and db.size == 0
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
@@ -276,7 +281,7 @@ class TestChunkShardedRange:
             chained.load_pairs(i1, i2)
             sharded.load_pairs(i1, i2)
             base_c = list(range(n))
-            base_s = list(range(n))
+            base_s = identity(n)
             for start in range(0, len(pairs), 17):
                 stop = min(start + 17, len(pairs))
                 base_c = chained.chunk_merge_range(base_c, start, stop)
@@ -297,19 +302,19 @@ class TestChunkShardedRange:
         with ShmArena(n, 3) as batch, ShmArena(n, 3) as sharded:
             batch.load_pairs(i1, i2)
             sharded.load_pairs(i1, i2)
-            base_b = list(range(n))
-            base_s = list(range(n))
+            base_b = identity(n)
+            base_s = identity(n)
             for start in range(0, len(pairs), 10):
                 stop = min(start + 10, len(pairs))
                 base_b = batch.chunk_batch_range(base_b, start, stop)
                 base_s, _ = sharded.chunk_sharded_range(base_s, start, stop)
-                assert base_s == base_b
+                assert base_s.tolist() == base_b.tolist()
 
     def test_more_workers_than_vertices(self):
         # 6 workers, n=4: single-vertex shards, all pairs boundary.
         with ShmArena(4, 6) as arena:
             arena.load_pairs([0, 1], [2, 3])
-            merged, _ = arena.chunk_sharded_range(list(range(4)), 0, 2)
+            merged, _ = arena.chunk_sharded_range(identity(4), 0, 2)
             assert labels_of(merged) == serial_reference(
                 list(range(4)), [(0, 2), (1, 3)]
             )
@@ -319,7 +324,7 @@ class TestChunkShardedRange:
         pairs = self.make_pairs(n, 48, seed=9)
         with ShmArena(n, 3) as arena:
             arena.load_pairs([a for a, _ in pairs], [b for _, b in pairs])
-            base = list(range(n))
+            base = identity(n)
             for start in range(0, len(pairs), 12):
                 base, _ = arena.chunk_sharded_range(
                     base, start, min(start + 12, 48)
@@ -338,23 +343,21 @@ class TestChunkShardedRange:
             reconcile_labels,
         )
 
-        import numpy as np
-
         n = 20
         pairs = self.make_pairs(n, 30, seed=4)
         i1 = [a for a, _ in pairs]
         i2 = [b for _, b in pairs]
         with ShmArena(n, 3) as arena:
             arena.load_pairs(i1, i2)
-            exact, _ = arena.chunk_sharded_range(list(range(n)), 0, len(pairs))
+            exact, _ = arena.chunk_sharded_range(identity(n), 0, len(pairs))
             partial, (da, db) = arena.chunk_sharded_range(
-                list(range(n)), 0, len(pairs), defer_boundary=True
+                identity(n), 0, len(pairs), defer_boundary=True
             )
             assert arena.reconcile_rounds > 0  # first (exact) call only
         keys, vals, _ = reconcile_labels(da, db)
-        healed = np.asarray(partial, dtype=np.int64)
+        healed = partial.copy()
         apply_relabels(healed, keys, vals)
-        assert healed.tolist() == exact
+        assert healed.tolist() == exact.tolist()
 
 
 @settings(max_examples=10, deadline=None)
@@ -369,7 +372,7 @@ def test_property_sharded_range_equals_serial(n, seed, workers):
     with ShmArena(n, workers) as arena:
         arena.load_pairs([a for a, _ in pairs], [b for _, b in pairs])
         merged, (da, db) = arena.chunk_sharded_range(
-            list(range(n)), 0, len(pairs)
+            identity(n), 0, len(pairs)
         )
     assert da.size == 0 and db.size == 0
     assert labels_of(merged) == serial_reference(list(range(n)), pairs)
@@ -386,7 +389,7 @@ def test_property_batch_range_equals_serial(n, seed, workers):
     pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(2 * n)]
     with ShmArena(n, workers) as arena:
         arena.load_pairs([a for a, _ in pairs], [b for _, b in pairs])
-        merged = arena.chunk_batch_range(list(range(n)), 0, len(pairs))
+        merged = arena.chunk_batch_range(identity(n), 0, len(pairs))
     assert labels_of(merged) == serial_reference(list(range(n)), pairs)
 
 
