@@ -79,7 +79,7 @@ def test_columnar_pipeline(benchmark, results_dir, preset):
     # -- section 2: shm ships sorted pairs zero-copy --------------------
     shm_table = ResultTable(
         "Columnar shm transport (coarse sweep, 2 workers)",
-        ["alpha", "k2", "seconds", "range_tasks", "list_tasks", "pair_loads"],
+        ["alpha", "k2", "seconds", "range_tasks", "pair_loads"],
     )
     mid_alpha = preset.alphas[len(preset.alphas) // 2]
     work = fig5_workload(mid_alpha, preset, sort=False)
@@ -97,17 +97,14 @@ def test_columnar_pipeline(benchmark, results_dir, preset):
         arena = runtime.arena
         assert arena is not None
         # The whole point: pair columns were published to shared memory
-        # exactly once, every chunk crossed the queue as an index range,
-        # and no pair list was ever pickled onto it.
+        # exactly once and every chunk crossed the queue as an index range.
         assert arena.pair_loads == 1, arena.pair_loads
-        assert arena.list_tasks == 0, arena.list_tasks
         assert arena.range_tasks > 0
         shm_table.add_row(
             alpha=mid_alpha,
             k2=cols.k2,
             seconds=round(stats.mean, 5),
             range_tasks=arena.range_tasks,
-            list_tasks=arena.list_tasks,
             pair_loads=arena.pair_loads,
         )
     assert same_partition(

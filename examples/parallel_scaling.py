@@ -71,25 +71,36 @@ def main() -> None:
     # only the edge-pair slices cross the process boundary.  Owning the
     # runtime keeps those workers alive across *both* sweeps below (a
     # string backend would respawn them per call).
+    # The runtime reports each chunk's cost as runtime:* spans on the
+    # sweep's tracer.
+    from repro.obs import MemorySink, Tracer
     from repro.parallel import get_sweep_runtime
 
+    sink = MemorySink()
+    tracer = Tracer([sink])
     with get_sweep_runtime("shm", 2) as runtime:
         shm_result = parallel_coarse_sweep(
-            graph, serial_sim, params, num_workers=2, backend=runtime
+            graph, serial_sim, params, num_workers=2, backend=runtime,
+            tracer=tracer,
         )
         parallel_coarse_sweep(
-            graph, serial_sim, params, num_workers=2, backend=runtime
+            graph, serial_sim, params, num_workers=2, backend=runtime,
+            tracer=tracer,
         )
-        stats = runtime.stats
+
+    def span_ms(name: str) -> float:
+        return 1e3 * sum(s.duration for s in sink.spans if s.name == name)
+
+    chunks = sum(1 for s in sink.spans if s.name.startswith("sweep:chunk["))
     print(
         "shared-memory backend identical partition: "
         f"{same_partition(serial_result.edge_labels(), shm_result.edge_labels())}"
     )
     print(
-        f"persistent shm runtime: {stats.chunks} chunks over one worker set "
-        f"(spawn {stats.spawn_time * 1e3:.1f}ms paid once; "
-        f"compute {stats.compute_time * 1e3:.1f}ms, "
-        f"merge {stats.merge_time * 1e3:.1f}ms)"
+        f"persistent shm runtime: {chunks} chunks over one worker set "
+        f"(spawn {span_ms('runtime:spawn'):.1f}ms paid once; "
+        f"compute {span_ms('runtime:compute'):.1f}ms, "
+        f"merge {span_ms('runtime:merge'):.1f}ms)"
     )
 
     # --- Figure 6's curves from the deterministic work model -----------

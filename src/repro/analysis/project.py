@@ -23,9 +23,10 @@ those questions need:
   parameters into a dispatch position, each of its call sites
   contributes the argument bound to that parameter as a new seed.
 
-The fixpoint is what lets ``runtime.merge(chain, other)`` →
-``self._merge_on_copies(chain, _merge_worker)`` → ``backend.map(fn,
-parts)`` mark ``_merge_worker`` as worker code without any annotation.
+The fixpoint is what lets ``runtime.chunk_merge_range(chain, start, stop)``
+→ ``self._merge_on_copies(chain, _merge_arrays_worker, args)`` →
+``backend.map(fn, ...)`` mark ``_merge_arrays_worker`` as worker code
+without any annotation.
 
 Resolution is deliberately conservative-but-sound-enough: unresolvable
 calls simply contribute no edge.  For a may-analysis over worker safety

@@ -11,8 +11,10 @@ many-chunk workload is driven twice per backend —
   time), which is what the pre-runtime code effectively did;
 * ``persistent``  — one runtime serves all chunks (the paper's model).
 
-The ``spawn`` / ``copy`` / ``compute`` / ``merge`` breakdown comes from
-:class:`~repro.parallel.runtime.RuntimeStats`.
+Chunks travel the sweep's own transport: the workload's pair columns
+are loaded into each runtime and every chunk is a ``[start, stop)``
+window of them.  The ``spawn`` / ``copy`` / ``compute`` / ``merge``
+breakdown is the sum of the runtime's ``runtime:*`` tracer spans.
 """
 
 from __future__ import annotations
@@ -21,12 +23,18 @@ import random
 import time
 from typing import Dict, List, Sequence, Tuple
 
+import numpy as np
+
 from repro.bench.runner import ResultTable
 from repro.cluster.unionfind import ChainArray
 from repro.errors import ParameterError
-from repro.parallel.runtime import RuntimeStats, get_sweep_runtime
+from repro.obs import MemorySink, Tracer
+from repro.parallel.runtime import SweepRuntime, get_sweep_runtime
 
 __all__ = ["make_chunk_workload", "runtime_spawn_comparison"]
+
+#: The chunk cost parts, one ``runtime:<part>`` span name each.
+RUNTIME_PARTS = ("spawn", "copy", "compute", "merge")
 
 
 def make_chunk_workload(
@@ -48,29 +56,38 @@ def _drive(
     n: int,
     chunks: Sequence[Sequence[Tuple[int, int]]],
     persistent: bool,
-) -> Tuple[float, RuntimeStats, List[int]]:
-    """Apply ``chunks`` sequentially; return (wall seconds, stats, labels)."""
-    stats = RuntimeStats(backend=backend)
+) -> Tuple[float, Dict[str, float], List[int]]:
+    """Apply ``chunks`` sequentially; return (wall seconds, part seconds, labels)."""
+    i1 = np.array([a for pairs in chunks for a, _ in pairs], dtype=np.int64)
+    i2 = np.array([b for pairs in chunks for _, b in pairs], dtype=np.int64)
+    bounds = np.cumsum([0] + [len(pairs) for pairs in chunks]).tolist()
+    windows = list(zip(bounds[:-1], bounds[1:]))
+    sink = MemorySink()
+    tracer = Tracer([sink])
+
+    def open_runtime() -> SweepRuntime:
+        runtime = get_sweep_runtime(backend, num_workers)
+        runtime.tracer = tracer
+        runtime.load_pairs(i1, i2)
+        return runtime
+
     chain = ChainArray(n)
     start = time.perf_counter()
     if persistent:
-        with get_sweep_runtime(backend, num_workers) as runtime:
-            for pairs in chunks:
-                chain = runtime.chunk_merge(chain, pairs)
-            stats = runtime.stats
+        with open_runtime() as runtime:
+            for lo, hi in windows:
+                chain = runtime.chunk_merge_range(chain, lo, hi)
     else:
-        for pairs in chunks:
-            with get_sweep_runtime(backend, num_workers) as runtime:
-                chain = runtime.chunk_merge(chain, pairs)
-                single = runtime.stats
-            stats.chunks += single.chunks
-            stats.tasks += single.tasks
-            stats.spawn_time += single.spawn_time
-            stats.copy_time += single.copy_time
-            stats.compute_time += single.compute_time
-            stats.merge_time += single.merge_time
+        for lo, hi in windows:
+            with open_runtime() as runtime:
+                chain = runtime.chunk_merge_range(chain, lo, hi)
     elapsed = time.perf_counter() - start
-    return elapsed, stats, chain.labels()
+    parts = {part: 0.0 for part in RUNTIME_PARTS}
+    for span in sink.spans:
+        part = span.name.removeprefix("runtime:")
+        if part in parts:
+            parts[part] += span.duration
+    return elapsed, parts, chain.labels()
 
 
 def runtime_spawn_comparison(
@@ -105,21 +122,18 @@ def runtime_spawn_comparison(
         ],
     )
     for backend in backends:
-        results: Dict[str, Tuple[float, RuntimeStats, List[int]]] = {}
+        results: Dict[str, Tuple[float, Dict[str, float], List[int]]] = {}
         for strategy, persistent in (("per_chunk", False), ("persistent", True)):
             results[strategy] = _drive(backend, num_workers, n, chunks, persistent)
         base_wall = results["per_chunk"][0]
         match = results["per_chunk"][2] == results["persistent"][2]
         for strategy in ("per_chunk", "persistent"):
-            wall, stats, _ = results[strategy]
+            wall, parts, _ = results[strategy]
             table.add_row(
                 backend=backend,
                 strategy=strategy,
                 wall_s=wall,
-                spawn_s=stats.spawn_time,
-                copy_s=stats.copy_time,
-                compute_s=stats.compute_time,
-                merge_s=stats.merge_time,
+                **{f"{part}_s": parts[part] for part in RUNTIME_PARTS},
                 speedup=base_wall / wall if wall else float("inf"),
                 labels_match=match,
             )

@@ -297,11 +297,13 @@ class _CoarseSweeper:
             raise ParameterError(f"num_shards must be >= 1, got {num_shards}")
         if isinstance(similarity_map, SimilarityMap) and (
             not engine_spec.accepts_dict_pairs
+            or self.per_worker
             or (storage is not None and storage.kind == "mmap")
         ):
-            # The batch/sharded kernels — and the out-of-core store —
-            # consume the flat columnar wedge stream; the dict map
-            # converts losslessly (same list-L order).
+            # The batch/sharded kernels, the parallel runtimes' range
+            # transport, and the out-of-core store consume the flat
+            # columnar wedge stream; the dict map converts losslessly
+            # (same list-L order).
             similarity_map = SimilarityColumns.from_similarity_map(similarity_map)
         self.engine = engine
         self.engine_spec = engine_spec

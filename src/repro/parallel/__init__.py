@@ -13,12 +13,11 @@ from repro.parallel.runtime import (
     SWEEP_BACKENDS,
     LocalSweepRuntime,
     RuntimePool,
-    RuntimeStats,
     ShmSweepRuntime,
     SweepRuntime,
     get_sweep_runtime,
 )
-from repro.parallel.shm_sweep import ShmArena, describe_exitcode, shm_chunk_merge
+from repro.parallel.shm_sweep import ShmArena, describe_exitcode
 from repro.parallel.partitioner import (
     ClassifiedPairs,
     ShardedPartition,
@@ -30,7 +29,6 @@ from repro.parallel.partitioner import (
 from repro.parallel.sharded_sweep import (
     ShardedChunkStats,
     ShardTask,
-    sharded_chunk_merge,
     sharded_components,
 )
 from repro.parallel.pool import (
@@ -55,7 +53,6 @@ __all__ = [
     "LocalSweepRuntime",
     "ProcessBackend",
     "RuntimePool",
-    "RuntimeStats",
     "SWEEP_BACKENDS",
     "SerialBackend",
     "ShardTask",
@@ -65,7 +62,6 @@ __all__ = [
     "ShmSweepRuntime",
     "SweepRuntime",
     "SweepWorkModel",
-    "sharded_chunk_merge",
     "sharded_components",
     "calibrate_cost_model",
     "describe_exitcode",
@@ -83,6 +79,5 @@ __all__ = [
     "parallel_similarity_map",
     "partition_range",
     "round_robin_partition",
-    "shm_chunk_merge",
     "speedup_curve",
 ]

@@ -73,12 +73,19 @@ def _pass2_worker(graph: Graph, vertices: Sequence[int]) -> PairAccumulator:
 
 
 def _pass2_columnar_worker(
-    graph: Graph, vertices: Sequence[int]
+    indptr: np.ndarray,
+    indices: np.ndarray,
+    weights: np.ndarray,
+    vertices: Sequence[int],
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Columnar pass 2, step one: this vertex set's wedges as arrays."""
-    from repro.fast.similarity import _csr_arrays, _wedge_columns
+    """Columnar pass 2, step one: this vertex set's wedges as arrays.
 
-    return _wedge_columns(*_csr_arrays(graph), vertices=vertices)
+    Receives the parent's CSR arrays, so no worker rebuilds the graph's
+    adjacency (and process tasks pickle three arrays, not the graph).
+    """
+    from repro.fast.similarity import _wedge_columns
+
+    return _wedge_columns(indptr, indices, weights, vertices=vertices)
 
 
 def _pass3_worker(
@@ -94,7 +101,7 @@ def _pass3_worker(
     return {(u, v): (h1[u] + h1[v]) * w for u, v, w in edges}
 
 
-def _map_merge_worker(dst: PairAccumulator, src: PairAccumulator) -> PairAccumulator:
+def _merge_maps_worker(dst: PairAccumulator, src: PairAccumulator) -> PairAccumulator:
     return merge_pair_maps(dst, src)
 
 
@@ -160,7 +167,7 @@ def hierarchical_map_merge(
         tasks = [
             (active[idx], active[idx + 1]) for idx in range(0, len(active) - 1, 2)
         ]
-        merged = backend.map(_map_merge_worker, tasks)
+        merged = backend.map(_merge_maps_worker, tasks)
         if len(active) % 2 == 1:
             merged.append(active[-1])
         active = merged
@@ -258,12 +265,13 @@ def parallel_similarity_columns(
     # dispatch than it saves, and the per-vertex Python sums of the dict
     # path round differently from the serial columnar kernel.
     with tracer.span("init:pass1", workers=1):
-        indptr, _indices, weights = _csr_arrays(graph)
+        indptr, indices, weights = _csr_arrays(graph)
         h1, h2 = _h_arrays_columnar(indptr, weights)
 
     with tracer.span("init:pass2", workers=len(parts)):
         partials = exec_backend.map(
-            _pass2_columnar_worker, [(graph, part) for part in parts]
+            _pass2_columnar_worker,
+            [(indptr, indices, weights, part) for part in parts],
         )
         pair_u, pair_v, dots, offsets, commons = _group_wedges(
             np.concatenate([p[0] for p in partials]),

@@ -13,6 +13,11 @@ Both steps run on a persistent :class:`~repro.parallel.runtime.SweepRuntime`
 ``backend="shm"``) is created once per sweep and reused across every
 chunk and epoch, exactly as the paper's pthreads outlive the run.
 
+The sweep reaches the runtime through one transport.  A dict similarity
+map converts to columns at sweep entry, so every run has a pair store:
+its edge-index columns are loaded into the runtime once, and each chunk
+is dispatched as a ``[start, stop)`` window of them.
+
 All epoch-machine logic (modes, rollback, chunk estimation, reuse) is
 inherited from the serial driver; only chunk application differs.
 Because per-thread merge events cannot be interleaved into one global
@@ -26,7 +31,7 @@ label arrays through the runtime; the chained engine carries array ``C``.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence, Union
 
 from repro.core.cancel import CancelToken
 from repro.cluster.unionfind import ChainArray
@@ -46,10 +51,6 @@ from repro.parallel.pool import ExecutionBackend
 from repro.parallel.runtime import SweepRuntime, get_sweep_runtime
 
 __all__ = ["parallel_coarse_sweep"]
-
-# Re-exported so existing imports of the module keep working; the
-# implementation lives with the runtime now.
-from repro.parallel.runtime import _merge_worker  # noqa: F401
 
 
 class _ParallelCoarseSweeper(_CoarseSweeper):
@@ -86,54 +87,32 @@ class _ParallelCoarseSweeper(_CoarseSweeper):
         self._runtime = runtime
 
     def _apply_chunk(self, chunk: range) -> None:
-        if self.store is not None:
-            # Columnar: the wedge stream is already flat; the runtime
-            # holds the edge-index columns (loaded once per sweep, as
-            # arrays or as a mapping of the store's pair file), so the
-            # chunk reduces to a [w_start, w_end) range.
-            w_start = int(self.store.offsets[chunk.start])
-            w_end = int(self.store.offsets[chunk.stop])
-            self.xi += w_end - w_start
-            self.p = chunk.stop
-            if w_start == w_end:
-                return  # nothing to merge; the runtime is not consulted
-            before = self.chain
-            after: ChainState
-            if self.engine == "batch":
-                after = self._runtime.chunk_batch_range(
-                    _as_labels(before), w_start, w_end
-                )
-            elif self.engine == "sharded":
-                after, deferred = self._runtime.chunk_sharded_range(
-                    _as_labels(before), w_start, w_end, defer_boundary=self.epsilon > 0
-                )
-                self._push_deferred(deferred)
-            else:
-                assert isinstance(before, ChainArray)
-                after = self._runtime.chunk_merge_range(before, w_start, w_end)
-            if after is not before:
-                self._advance(after)
-            return
-
-        graph = self.graph
-        index = self.index
-        pairs = self.pairs
-        assert pairs is not None
-        edge_pairs: List[Tuple[int, int]] = []
-        for pos in chunk:
-            _, (vi, vj), commons = pairs[pos]
-            for vk in commons:
-                edge_pairs.append(
-                    (index[graph.edge_id(vi, vk)], index[graph.edge_id(vj, vk)])
-                )
-            self.xi += len(commons)
-            self.p = pos + 1
-        if not edge_pairs:
+        # The wedge stream is flat and the runtime holds the edge-index
+        # columns (loaded once per sweep, as arrays or as a mapping of
+        # the store's pair file), so the chunk reduces to a
+        # [w_start, w_end) range.
+        store = self.store
+        assert store is not None
+        w_start = int(store.offsets[chunk.start])
+        w_end = int(store.offsets[chunk.stop])
+        self.xi += w_end - w_start
+        self.p = chunk.stop
+        if w_start == w_end:
             return  # nothing to merge; the runtime is not consulted
-
         before = self.chain
-        assert isinstance(before, ChainArray)
-        after = self._runtime.chunk_merge(before, edge_pairs)
+        after: ChainState
+        if self.engine == "batch":
+            after = self._runtime.chunk_batch_range(
+                _as_labels(before), w_start, w_end
+            )
+        elif self.engine == "sharded":
+            after, deferred = self._runtime.chunk_sharded_range(
+                _as_labels(before), w_start, w_end, defer_boundary=self.epsilon > 0
+            )
+            self._push_deferred(deferred)
+        else:
+            assert isinstance(before, ChainArray)
+            after = self._runtime.chunk_merge_range(before, w_start, w_end)
         if after is not before:
             self._advance(after)
 
@@ -169,8 +148,9 @@ def parallel_coarse_sweep(
     one more contraction, and ``"sharded"`` gives each worker ownership
     of one contiguous vertex range of ``C`` (no private full copies;
     :mod:`repro.parallel.sharded_sweep`) with host-side boundary
-    reconciliation per level.  Both alternates imply the columnar pair
-    pipeline (a dict ``similarity_map`` is converted up front).
+    reconciliation per level.  Every engine runs on the columnar pair
+    pipeline: a dict ``similarity_map`` is converted up front (same
+    list-L order, so the same chunks and levels).
     ``epsilon > 0`` (sharded only) defers boundary reconciliation
     across levels while local merge deltas stay within ``(1 + epsilon)``
     of the reconciled count; the final partition is unchanged.
@@ -209,17 +189,18 @@ def parallel_coarse_sweep(
         cancel=cancel,
         storage=storage,
     )
-    if sweeper.store is not None:
-        # Columnar: publish the sorted wedge columns to the runtime once;
-        # every chunk then dispatches as a bare index range.  A
-        # file-backed store hands over its spec instead of the arrays —
-        # workers map the pair file directly (the shm runtime otherwise
-        # ships the arrays zero-copy through a shared block).
-        spec = sweeper.store.file_spec()
-        if spec is not None:
-            runtime.load_pairs_file(spec)
-        else:
-            runtime.load_pairs(sweeper.store.c1, sweeper.store.c2)
+    # Publish the sorted wedge columns to the runtime once; every chunk
+    # then dispatches as a bare index range.  A file-backed store hands
+    # over its spec instead of the arrays — workers map the pair file
+    # directly (the shm runtime otherwise ships the arrays zero-copy
+    # through a shared block).
+    store = sweeper.store
+    assert store is not None
+    spec = store.file_spec()
+    if spec is not None:
+        runtime.load_pairs_file(spec)
+    else:
+        runtime.load_pairs(store.c1, store.c2)
     # The runtime reports per-chunk costs through the sweep's tracer;
     # restore its previous tracer afterwards so a caller-owned runtime
     # never keeps emitting into a tracer that may since have been closed.

@@ -10,6 +10,14 @@ all chunks and epochs, and released by :meth:`SweepRuntime.shutdown`
 and shared-block allocation per chunk, is what
 ``benchmarks/bench_parallel_runtime.py`` quantifies.
 
+A sweep reaches a runtime through one transport: the sorted pair
+columns are loaded once (:meth:`SweepRuntime.load_pairs` or
+:meth:`SweepRuntime.load_pairs_file`), and every chunk is then a
+``[start, stop)`` window of them — :meth:`SweepRuntime.chunk_merge_range`
+for the chained engine, :meth:`SweepRuntime.chunk_batch_range` and
+:meth:`SweepRuntime.chunk_sharded_range` for the batch and sharded
+engines.
+
 Two implementations cover the four backends:
 
 * :class:`LocalSweepRuntime` — ``serial`` / ``thread`` / ``process``
@@ -17,12 +25,13 @@ Two implementations cover the four backends:
   array ``C``, one map call, hierarchical array merge;
 * :class:`ShmSweepRuntime` — the ``shm`` backend over
   :class:`repro.parallel.shm_sweep.ShmArena`: one resident ``T x n``
-  shared block plus ``T`` resident worker processes, nothing but the
-  chunk's edge-pair slices crossing a queue.
+  shared block plus ``T`` resident worker processes, nothing but range
+  tuples crossing a queue.
 
-Every runtime accumulates a :class:`RuntimeStats` breaking chunk cost
-into spawn / copy / compute / merge time, which ``repro.bench``
-(``repro.bench.parallel_runtime``) turns into result tables.
+Every runtime reports a chunk's cost through its ``tracer`` as
+``runtime:spawn`` / ``runtime:copy`` / ``runtime:compute`` /
+``runtime:merge`` spans, which ``repro.bench.parallel_runtime`` and the
+benchmarks sum into result tables.
 """
 
 from __future__ import annotations
@@ -30,8 +39,7 @@ from __future__ import annotations
 import threading
 import time
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, TypeVar, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -42,11 +50,7 @@ from repro.errors import ParameterError
 from repro.obs import NULL_TRACER
 from repro.fast.batch_sweep import batch_components, batch_join_rows
 from repro.parallel.merge_arrays import hierarchical_merge
-from repro.parallel.partitioner import (
-    ShardedPartition,
-    round_robin_partition,
-    strided_partition,
-)
+from repro.parallel.partitioner import ShardedPartition, strided_partition
 from repro.parallel.pool import ExecutionBackend, SerialBackend, get_backend
 from repro.parallel.sharded_sweep import (
     ShardTask,
@@ -57,7 +61,6 @@ from repro.parallel.sharded_sweep import (
 from repro.parallel.shm_sweep import ShmArena
 
 __all__ = [
-    "RuntimeStats",
     "SweepRuntime",
     "LocalSweepRuntime",
     "ShmSweepRuntime",
@@ -67,46 +70,6 @@ __all__ = [
 ]
 
 SWEEP_BACKENDS = backend_names()
-
-_T = TypeVar("_T")
-
-
-@dataclass
-class RuntimeStats:
-    """Per-sweep instrumentation: where chunk wall-clock goes.
-
-    ``spawn_time`` — creating executors / arena workers / shared blocks;
-    ``copy_time`` — duplicating array ``C`` for the workers (step 1);
-    ``compute_time`` — workers running MERGE over their share;
-    ``merge_time`` — combining the ``T`` results (step 2).
-    All seconds, accumulated over ``chunks`` chunk calls dispatching
-    ``tasks`` worker tasks.
-    """
-
-    backend: str = ""
-    chunks: int = 0
-    tasks: int = 0
-    spawn_time: float = 0.0
-    copy_time: float = 0.0
-    compute_time: float = 0.0
-    merge_time: float = 0.0
-
-    @property
-    def total_time(self) -> float:
-        return self.spawn_time + self.copy_time + self.compute_time + self.merge_time
-
-    def as_dict(self) -> Dict[str, Union[str, int, float]]:
-        return {
-            "backend": self.backend,
-            "chunks": self.chunks,
-            "tasks": self.tasks,
-            "spawn_time": self.spawn_time,
-            "copy_time": self.copy_time,
-            "compute_time": self.compute_time,
-            "merge_time": self.merge_time,
-            "total_time": self.total_time,
-        }
-
 
 class SweepRuntime(ABC):
     """Long-lived worker state + the per-chunk merge operation.
@@ -119,7 +82,6 @@ class SweepRuntime(ABC):
     name: str = "abstract"
 
     def __init__(self) -> None:
-        self.stats = RuntimeStats(backend=self.name)
         # Assigned by the driver (parallel_coarse_sweep) for the duration
         # of a sweep; per-chunk costs surface as ``runtime:*`` spans.
         self.tracer = NULL_TRACER
@@ -161,16 +123,6 @@ class SweepRuntime(ABC):
 
     def __exit__(self, *exc_info: object) -> None:
         self.shutdown()
-
-    @abstractmethod
-    def chunk_merge(
-        self, chain: ChainArray, edge_pairs: Sequence[Tuple[int, int]]
-    ) -> ChainArray:
-        """MERGE one chunk's ``edge_pairs`` starting from ``chain``.
-
-        Returns the merged array (``chain`` itself — unmodified — when
-        the chunk carries no pairs); never mutates ``chain``.
-        """
 
     # ------------------------------------------------------------------
     # columnar pair transport
@@ -222,19 +174,17 @@ class SweepRuntime(ABC):
             )
         return i1, i2
 
+    @abstractmethod
     def chunk_merge_range(
         self, chain: ChainArray, start: int, stop: int
     ) -> ChainArray:
         """MERGE the loaded pair columns' ``[start, stop)`` window.
 
-        Baseline implementation re-materializes the window as pair
-        tuples and delegates to :meth:`chunk_merge`; backends override
-        it to skip that (strided array slices, shared-memory ranges).
+        Starts from ``chain`` and returns the merged array (``chain``
+        itself, unmodified, for an empty window); never mutates
+        ``chain``.  Requires a prior :meth:`load_pairs` or
+        :meth:`load_pairs_file`.
         """
-        i1, i2 = self._require_pairs(start, stop)
-        return self.chunk_merge(
-            chain, list(zip(i1[start:stop].tolist(), i2[start:stop].tolist()))
-        )
 
     def chunk_batch_range(
         self, labels: np.ndarray, start: int, stop: int
@@ -252,14 +202,11 @@ class SweepRuntime(ABC):
         contractions plus a batch join.
         """
         i1, i2 = self._require_pairs(start, stop)
-        self.stats.chunks += 1
         if start == stop:
             return labels
         t0 = time.perf_counter()
         after = batch_components(labels, i1[start:stop], i2[start:stop])
-        dt = time.perf_counter() - t0
-        self.stats.compute_time += dt
-        self.tracer.record("runtime:compute", dt, workers=1)
+        self.tracer.record("runtime:compute", time.perf_counter() - t0, workers=1)
         return after
 
     def chunk_sharded_range(
@@ -284,7 +231,6 @@ class SweepRuntime(ABC):
         out to workers.
         """
         i1, i2 = self._require_pairs(start, stop)
-        self.stats.chunks += 1
         if start == stop:
             return labels, _empty_pairs()
         part = self._shard_partition(len(labels))
@@ -297,22 +243,11 @@ class SweepRuntime(ABC):
             tracer=self.tracer,
             defer_boundary=defer_boundary,
         )
-        dt = time.perf_counter() - t0
-        self.stats.compute_time += dt
-        self.tracer.record("runtime:compute", dt, workers=1)
+        self.tracer.record("runtime:compute", time.perf_counter() - t0, workers=1)
         return merged, deferred
 
     def __repr__(self) -> str:
-        return f"{type(self).__name__}(chunks={self.stats.chunks})"
-
-
-def _merge_worker(
-    chain: ChainArray, pairs: Sequence[Tuple[int, int]]
-) -> ChainArray:
-    """Run MERGE over ``pairs`` on a private copy of array ``C``."""
-    for i1, i2 in pairs:
-        chain.merge(i1, i2)
-    return chain
+        return f"{type(self).__name__}(backend={self.name!r})"
 
 
 def _merge_arrays_worker(
@@ -324,7 +259,7 @@ def _merge_arrays_worker(
     return chain
 
 
-def _batch_merge_worker(
+def _batch_worker(
     labels: np.ndarray, i1: np.ndarray, i2: np.ndarray
 ) -> np.ndarray:
     """Batch-engine worker: one contraction over this worker's slice.
@@ -367,12 +302,12 @@ def _merge_file_range_worker(
     return _merge_arrays_worker(chain, i1[start:stop:step], i2[start:stop:step])
 
 
-def _batch_file_merge_worker(
+def _batch_file_worker(
     labels: np.ndarray, spec: PairFileSpec, start: int, stop: int, step: int
 ) -> np.ndarray:
-    """File-backed variant of :func:`_batch_merge_worker`."""
+    """File-backed variant of :func:`_batch_worker`."""
     i1, i2 = _file_pair_columns(spec)
-    return _batch_merge_worker(labels, i1[start:stop:step], i2[start:stop:step])
+    return _batch_worker(labels, i1[start:stop:step], i2[start:stop:step])
 
 
 def _shard_local_worker(
@@ -396,8 +331,8 @@ class LocalSweepRuntime(SweepRuntime):
     """Chunk processing over a persistent pool backend.
 
     Step 1 copies array ``C`` once per busy worker and maps
-    :func:`_merge_worker` over the copies; step 2 combines them with the
-    corrected hierarchical array merge.  The pool itself (threads or
+    :func:`_merge_arrays_worker` over the copies; step 2 combines them
+    with the corrected hierarchical array merge.  The pool itself (threads or
     processes) outlives the chunk: it is started once and reused.
     """
 
@@ -424,7 +359,6 @@ class LocalSweepRuntime(SweepRuntime):
         t0 = time.perf_counter()
         self.backend.start()
         dt = time.perf_counter() - t0
-        self.stats.spawn_time += dt
         if not was_running:
             # An actual pool (re-)spawn, not an idempotent no-op call.
             self.tracer.record("runtime:spawn", dt, backend=self.name)
@@ -446,59 +380,38 @@ class LocalSweepRuntime(SweepRuntime):
 
         Step 1: copy array ``C`` per busy worker and map ``fn`` over
         ``(copy, *args)``; step 2: hierarchical array merge.  Shared by
-        the pair-list and index-range chunk entry points.
+        the in-memory and file-backed pair columns.
         """
-        stats = self.stats
         # Spawn before the copy timer starts, so pool construction cost
-        # lands in spawn_time only (it used to leak into copy_time when
-        # the lazy start sat inside the copy window).
+        # lands in runtime:spawn only.
         self.start()
         tracer = self.tracer
 
         t0 = time.perf_counter()
         copies = [chain.copy() for _ in part_args]
         t1 = time.perf_counter()
-        stats.copy_time += t1 - t0
         tracer.record("runtime:copy", t1 - t0, copies=len(part_args))
 
         merged = self.backend.map(
             fn, [(copy, *args) for copy, args in zip(copies, part_args)]
         )
-        stats.tasks += len(part_args)
         t2 = time.perf_counter()
-        stats.compute_time += t2 - t1
         tracer.record("runtime:compute", t2 - t1, workers=len(part_args))
 
         after = hierarchical_merge(list(merged), self._merge_backend, n=len(chain))
-        t3 = time.perf_counter()
-        stats.merge_time += t3 - t2
-        tracer.record("runtime:merge", t3 - t2)
+        tracer.record("runtime:merge", time.perf_counter() - t2)
         return after
-
-    def chunk_merge(
-        self, chain: ChainArray, edge_pairs: Sequence[Tuple[int, int]]
-    ) -> ChainArray:
-        self.stats.chunks += 1
-        parts = [
-            part
-            for part in round_robin_partition(list(edge_pairs), self.num_workers)
-            if part
-        ]
-        if not parts:
-            return chain
-        return self._merge_on_copies(chain, _merge_worker, [(part,) for part in parts])
 
     def chunk_merge_range(
         self, chain: ChainArray, start: int, stop: int
     ) -> ChainArray:
         i1, i2 = self._require_pairs(start, stop)
-        self.stats.chunks += 1
         if start == stop:
             return chain
-        # Strided slices reproduce round_robin_partition exactly (item r
-        # of the window goes to worker r % k) without materializing pair
-        # tuples; strided_partition never yields an empty slice, so no
-        # idle worker gets a degenerate task.
+        # Strided slices give item r of the window to worker r % k (the
+        # paper's round-robin split) without materializing pair tuples;
+        # strided_partition never yields an empty slice, so no idle
+        # worker gets a degenerate task.
         parts = strided_partition(start, stop, self.num_workers)
         if self._pairs_file is not None and self.backend.name == "process":
             # File-backed pairs + process workers: ship the spec and the
@@ -518,7 +431,7 @@ class LocalSweepRuntime(SweepRuntime):
     ) -> np.ndarray:
         """Batch engine over the pool: strided contractions + batch join.
 
-        Step 1 maps :func:`_batch_merge_worker` over the window's
+        Step 1 maps :func:`_batch_worker` over the window's
         strided slices (each worker contracts its share against the
         same read-only base labels — the kernel copies internally, so
         no up-front per-worker copy of ``C`` is paid); step 2 joins the
@@ -527,18 +440,14 @@ class LocalSweepRuntime(SweepRuntime):
         pairwise chain-walk merge.
         """
         i1, i2 = self._require_pairs(start, stop)
-        self.stats.chunks += 1
         if start == stop:
             return labels
-        stats = self.stats
         parts = strided_partition(start, stop, self.num_workers)
         if len(parts) == 1:
             # One busy worker: dispatch buys nothing; contract inline.
             t0 = time.perf_counter()
             after = batch_components(labels, i1[start:stop], i2[start:stop])
-            dt = time.perf_counter() - t0
-            stats.compute_time += dt
-            self.tracer.record("runtime:compute", dt, workers=1)
+            self.tracer.record("runtime:compute", time.perf_counter() - t0, workers=1)
             return after
         self.start()
         tracer = self.tracer
@@ -547,24 +456,20 @@ class LocalSweepRuntime(SweepRuntime):
         if self._pairs_file is not None and self.backend.name == "process":
             spec = self._pairs_file
             rows = self.backend.map(
-                _batch_file_merge_worker,
+                _batch_file_worker,
                 [(labels, spec, p.start, p.stop, p.step) for p in parts],
             )
         else:
             rows = self.backend.map(
-                _batch_merge_worker,
+                _batch_worker,
                 [(labels, i1[p.start : p.stop : p.step], i2[p.start : p.stop : p.step])
                  for p in parts],
             )
-        stats.tasks += len(parts)
         t2 = time.perf_counter()
-        stats.compute_time += t2 - t1
         tracer.record("runtime:compute", t2 - t1, workers=len(parts))
 
         joined = batch_join_rows(list(rows), tracer=tracer)
-        t3 = time.perf_counter()
-        stats.merge_time += t3 - t2
-        tracer.record("runtime:merge", t3 - t2)
+        tracer.record("runtime:merge", time.perf_counter() - t2)
         return joined
 
     def chunk_sharded_range(
@@ -585,10 +490,8 @@ class LocalSweepRuntime(SweepRuntime):
         traffic and every backend's resident footprint by ~T×.
         """
         i1, i2 = self._require_pairs(start, stop)
-        self.stats.chunks += 1
         if start == stop:
             return labels, _empty_pairs()
-        stats = self.stats
         tracer = self.tracer
         part = self._shard_partition(len(labels))
         compute_cell = [0.0]
@@ -603,7 +506,6 @@ class LocalSweepRuntime(SweepRuntime):
             )
             compute_cell[0] += time.perf_counter() - t0
             busy_cell[0] = len(tasks)
-            stats.tasks += len(tasks)
             return list(results)
 
         t0 = time.perf_counter()
@@ -617,21 +519,23 @@ class LocalSweepRuntime(SweepRuntime):
             shard_solver=solver,
         )
         t1 = time.perf_counter()
-        stats.compute_time += compute_cell[0]
         if busy_cell[0]:
             tracer.record("runtime:compute", compute_cell[0], workers=busy_cell[0])
         # Host-side classification, reconciliation, and relabel
         # composition are the combine step.
-        host_dt = max(0.0, (t1 - t0) - compute_cell[0])
-        stats.merge_time += host_dt
-        tracer.record("runtime:merge", host_dt)
+        tracer.record("runtime:merge", max(0.0, (t1 - t0) - compute_cell[0]))
         return merged, deferred
 
     def __repr__(self) -> str:
         return (
             f"LocalSweepRuntime(backend={self.name!r}, "
-            f"num_workers={self.num_workers}, chunks={self.stats.chunks})"
+            f"num_workers={self.num_workers})"
         )
+
+
+def _arena_costs(arena: ShmArena) -> Tuple[float, float, float, float]:
+    """The arena's cumulative spawn / copy / compute / merge seconds."""
+    return (arena.spawn_time, arena.copy_time, arena.compute_time, arena.merge_time)
 
 
 class ShmSweepRuntime(SweepRuntime):
@@ -650,10 +554,6 @@ class ShmSweepRuntime(SweepRuntime):
         super().__init__()
         self.num_workers = num_workers
         self._arena: ShmArena | None = ShmArena(n, num_workers) if n is not None else None
-        # Host-side copy cost (list -> ChainArray materialization on the
-        # chained engine) that the arena cannot see; _sync_stats adds it
-        # to the arena's own copy_time.
-        self._host_copy_time = 0.0
 
     @property
     def arena(self) -> ShmArena | None:
@@ -680,38 +580,28 @@ class ShmSweepRuntime(SweepRuntime):
         if self._arena is not None:
             self._arena.shutdown()
 
-    def _run_on_arena(self, call: Callable[[], _T]) -> _T:
-        """Run one arena chunk call and surface its cost deltas.
+    def _record_costs(
+        self,
+        arena: ShmArena,
+        before: Tuple[float, float, float, float],
+        host_copy: float = 0.0,
+    ) -> None:
+        """Record one arena chunk's cost as ``runtime:*`` spans.
 
         The arena times its own steps (workers run out-of-process); this
-        chunk's contribution is the counter delta around ``call``.
+        chunk's cost is the change in its counters since ``before``
+        (:func:`_arena_costs`), plus any ``host_copy`` seconds spent
+        outside the arena.
         """
-        stats = self.stats
-        before = (
-            stats.spawn_time,
-            stats.copy_time,
-            stats.compute_time,
-            stats.merge_time,
+        spawn, copy, compute, merge = (
+            now - then for now, then in zip(_arena_costs(arena), before)
         )
-        result = call()
-        self._sync_stats()
         tracer = self.tracer
-        spawn_dt = stats.spawn_time - before[0]
-        if spawn_dt > 0.0:
-            tracer.record("runtime:spawn", spawn_dt, backend=self.name)
-        tracer.record("runtime:copy", stats.copy_time - before[1])
-        tracer.record(
-            "runtime:compute", stats.compute_time - before[2], workers=self.num_workers
-        )
-        tracer.record("runtime:merge", stats.merge_time - before[3])
-        return result
-
-    def _as_chain(self, raw: List[int]) -> ChainArray:
-        """Wrap a chained-engine arena result (timed as host copy)."""
-        t0 = time.perf_counter()
-        chain = ChainArray(len(raw), _init=raw)
-        self._host_copy_time += time.perf_counter() - t0
-        return chain
+        if spawn > 0.0:
+            tracer.record("runtime:spawn", spawn, backend=self.name)
+        tracer.record("runtime:copy", copy + host_copy)
+        tracer.record("runtime:compute", compute, workers=self.num_workers)
+        tracer.record("runtime:merge", merge)
 
     def _sync_pairs(self, arena: ShmArena, i1: np.ndarray, i2: np.ndarray) -> None:
         """Publish this sweep's pair columns to the arena if stale.
@@ -728,31 +618,20 @@ class ShmSweepRuntime(SweepRuntime):
         else:
             arena.load_pairs(i1, i2, token=self._pairs_token)
 
-    def chunk_merge(
-        self, chain: ChainArray, edge_pairs: Sequence[Tuple[int, int]]
-    ) -> ChainArray:
-        if not edge_pairs:
-            self.stats.chunks += 1
-            return chain
-        arena = self._arena_for(len(chain))
-        return self._run_on_arena(
-            lambda: self._as_chain(arena.chunk_merge(list(chain.raw()), edge_pairs))
-        )
-
     def chunk_merge_range(
         self, chain: ChainArray, start: int, stop: int
     ) -> ChainArray:
         i1, i2 = self._require_pairs(start, stop)
         if start == stop:
-            self.stats.chunks += 1
             return chain
         arena = self._arena_for(len(chain))
         self._sync_pairs(arena, i1, i2)
-        return self._run_on_arena(
-            lambda: self._as_chain(
-                arena.chunk_merge_range(list(chain.raw()), start, stop)
-            )
-        )
+        before = _arena_costs(arena)
+        raw = arena.chunk_merge_range(list(chain.raw()), start, stop)
+        t0 = time.perf_counter()
+        merged = ChainArray(len(raw), _init=raw)
+        self._record_costs(arena, before, host_copy=time.perf_counter() - t0)
+        return merged
 
     def chunk_batch_range(
         self, labels: np.ndarray, start: int, stop: int
@@ -767,13 +646,13 @@ class ShmSweepRuntime(SweepRuntime):
         """
         i1, i2 = self._require_pairs(start, stop)
         if start == stop:
-            self.stats.chunks += 1
             return labels
         arena = self._arena_for(len(labels))
         self._sync_pairs(arena, i1, i2)
-        return self._run_on_arena(
-            lambda: arena.chunk_batch_range(labels, start, stop)
-        )
+        before = _arena_costs(arena)
+        after = arena.chunk_batch_range(labels, start, stop)
+        self._record_costs(arena, before)
+        return after
 
     def chunk_sharded_range(
         self,
@@ -792,17 +671,16 @@ class ShmSweepRuntime(SweepRuntime):
         """
         i1, i2 = self._require_pairs(start, stop)
         if start == stop:
-            self.stats.chunks += 1
             return labels, _empty_pairs()
         arena = self._arena_for(len(labels))
         self._sync_pairs(arena, i1, i2)
         boundary_before = arena.boundary_edges
         rounds_before = arena.reconcile_rounds
-        after, deferred = self._run_on_arena(
-            lambda: arena.chunk_sharded_range(
-                labels, start, stop, defer_boundary=defer_boundary
-            )
+        before = _arena_costs(arena)
+        after, deferred = arena.chunk_sharded_range(
+            labels, start, stop, defer_boundary=defer_boundary
         )
+        self._record_costs(arena, before)
         tracer = self.tracer
         tracer.gauge("shard_bytes", arena.shard_bytes)
         boundary_delta = arena.boundary_edges - boundary_before
@@ -813,24 +691,8 @@ class ShmSweepRuntime(SweepRuntime):
             tracer.count("reconcile_rounds", rounds_delta)
         return after, deferred
 
-    def _sync_stats(self) -> None:
-        """Mirror the arena's counters into this runtime's stats."""
-        arena = self._arena
-        if arena is None:
-            return
-        stats = self.stats
-        stats.chunks = arena.chunks
-        stats.tasks = arena.tasks
-        stats.spawn_time = arena.spawn_time
-        stats.copy_time = arena.copy_time + self._host_copy_time
-        stats.compute_time = arena.compute_time
-        stats.merge_time = arena.merge_time
-
     def __repr__(self) -> str:
-        return (
-            f"ShmSweepRuntime(num_workers={self.num_workers}, "
-            f"chunks={self.stats.chunks})"
-        )
+        return f"ShmSweepRuntime(num_workers={self.num_workers})"
 
 
 class RuntimePool:

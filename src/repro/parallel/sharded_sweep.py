@@ -57,7 +57,6 @@ from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.cluster.unionfind import ChainArray
 from repro.errors import ClusteringError
 from repro.fast.batch_sweep import batch_components, compress_labels
 from repro.obs import as_tracer
@@ -71,7 +70,6 @@ __all__ = [
     "apply_relabels",
     "dedupe_root_pairs",
     "sharded_components",
-    "sharded_chunk_merge",
 ]
 
 
@@ -311,22 +309,3 @@ def sharded_components(
     )
     return merged, deferred, stats
 
-
-def sharded_chunk_merge(
-    chain: ChainArray,
-    i1: np.ndarray,
-    i2: np.ndarray,
-    part: ShardedPartition,
-    tracer=None,
-) -> ChainArray:
-    """One exact sharded chunk as a :class:`ChainArray` bridge.
-
-    ``chain`` is left untouched; partition-identical to
-    :func:`~repro.fast.batch_sweep.batch_components` over the same
-    pairs.
-    """
-    base = np.asarray(chain.raw(), dtype=np.int64)
-    merged, _deferred, _stats = sharded_components(
-        base, i1, i2, part, tracer=tracer
-    )
-    return ChainArray(len(chain), _init=merged.tolist())

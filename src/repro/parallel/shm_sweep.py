@@ -8,21 +8,19 @@ copies as rows of an int64 matrix, worker processes attach and run
 MERGE over their row in place, and the parent combines rows with the
 corrected array-merge scheme without any copy leaving shared memory.
 
-With the columnar pipeline, not even the edge-pair slices cross a
-queue: :meth:`ShmArena.load_pairs` writes the sweep's sorted pair
-columns into a second shared block *once per sweep*, and each chunk's
-task message shrinks to a ``("range", ...)`` tuple naming the block
-plus a strided index range — workers read their pairs straight from
-shared memory.  The legacy list-of-pairs task path remains for the
-dict pipeline.
+Not even the edge-pair slices cross a queue: :meth:`ShmArena.load_pairs`
+writes the sweep's sorted pair columns into a second shared block *once
+per sweep* (or :meth:`ShmArena.load_pairs_file` names an out-of-core
+pair file), and each chunk's task message is a range tuple naming the
+block plus a strided index range — workers read their pairs straight
+from shared memory.
 
 :class:`ShmArena` is the persistent realization of Section VI-B's
 design (the paper starts its pthreads once per run): the block is
 allocated once, the ``T`` workers are spawned once and stay resident
 reading per-chunk tasks from queues, and every subsequent chunk pays
-only the row refresh plus one queue round-trip.  ``shm_chunk_merge``
-keeps the historical one-shot contract on top of it (arena per call)
-and degrades gracefully to an inline loop when ``num_workers == 1``.
+only the row refresh plus one queue round-trip.  A chunk with one busy
+worker runs inline in the parent instead.
 """
 
 from __future__ import annotations
@@ -40,11 +38,7 @@ from repro.core.storage import PairFileSpec
 from repro.errors import ParallelError, ParameterError
 from repro.fast.batch_sweep import batch_components, batch_join_rows, compress_labels
 from repro.parallel.merge_arrays import merge_chain_into
-from repro.parallel.partitioner import (
-    ShardedPartition,
-    round_robin_partition,
-    strided_partition,
-)
+from repro.parallel.partitioner import ShardedPartition, strided_partition
 from repro.parallel.sharded_sweep import (
     _empty_pairs,
     apply_relabels,
@@ -53,7 +47,7 @@ from repro.parallel.sharded_sweep import (
     sharded_components,
 )
 
-__all__ = ["ShmArena", "shm_chunk_merge", "describe_exitcode"]
+__all__ = ["ShmArena", "describe_exitcode"]
 
 # How long the parent waits between liveness checks while collecting
 # chunk results, and how long shutdown waits for a worker to drain its
@@ -125,10 +119,8 @@ def _worker(
     Attaches to the shared block once, then serves tasks until the
     ``None`` sentinel.  Five task shapes are served:
 
-    * a list of ``(i1, i2)`` pairs (legacy dict-pipeline path), merged
-      directly;
     * a ``("range", name, capacity, offset, stop, stride)`` tuple
-      (columnar path): the worker lazily attaches to the named pairs
+      (chained engine): the worker lazily attaches to the named pairs
       block and merges the strided slice — no pair data on the queue;
     * a ``("batch_range", ...)`` tuple with the same fields (batch
       engine): the strided slice is contracted vectorized
@@ -173,70 +165,44 @@ def _worker(
             if task is None:
                 break
             try:
-                chain = NumpyChainArray(n, buffer=row_view, initialized=True)
-                if (
-                    isinstance(task, tuple)
-                    and task
-                    and task[0] in ("range", "batch_range")
-                ):
-                    kind, name, capacity, offset, stop, stride = task
-                    if pairs_name != name:
-                        # A new sweep reloaded the pairs under a fresh
-                        # block; drop the stale attachment first.
-                        if pairs_block is not None:
-                            pairs_block.close()
-                            pairs_block = None
-                        pairs_block = _attach_untracked(name)
-                        pairs_name = name
-                    pairs_mat = np.ndarray(
-                        (2, capacity), dtype=np.int64, buffer=pairs_block.buf
-                    )
-                    if kind == "batch_range":
+                kind = task[0]
+                if kind in ("range", "batch_range", "file_range", "batch_file_range"):
+                    if kind.endswith("file_range"):
+                        _, spec, offset, stop, stride = task
+                        if file_path != spec.path:
+                            # New sweep, new pair file: remap (dropping
+                            # the old references unmaps the unlinked file).
+                            file_cols = (spec.open_c1(), spec.open_c2())
+                            file_path = spec.path
+                        assert file_cols is not None
+                        cols = file_cols
+                    else:
+                        _, name, capacity, offset, stop, stride = task
+                        if pairs_name != name:
+                            # A new sweep reloaded the pairs under a fresh
+                            # block; drop the stale attachment first.
+                            if pairs_block is not None:
+                                pairs_block.close()
+                                pairs_block = None
+                            pairs_block = _attach_untracked(name)
+                            pairs_name = name
+                        mat = np.ndarray(
+                            (2, capacity), dtype=np.int64, buffer=pairs_block.buf
+                        )
+                        cols = (mat[0], mat[1])
+                    i1 = cols[0][offset:stop:stride]
+                    i2 = cols[1][offset:stop:stride]
+                    if kind.startswith("batch"):
                         # The kernel reads the shared slices and copies
                         # internally; only the final labels touch this
                         # worker's own row.
-                        matrix[row, :] = batch_components(
-                            row_view,
-                            pairs_mat[0, offset:stop:stride],
-                            pairs_mat[1, offset:stop:stride],
-                        )
+                        matrix[row, :] = batch_components(row_view, i1, i2)
                     else:
-                        for i1, i2 in zip(
-                            pairs_mat[0, offset:stop:stride].tolist(),
-                            pairs_mat[1, offset:stop:stride].tolist(),
-                        ):
-                            chain.merge(i1, i2)
-                elif (
-                    isinstance(task, tuple)
-                    and task
-                    and task[0] in ("file_range", "batch_file_range")
-                ):
-                    kind, spec, offset, stop, stride = task
-                    if file_path != spec.path:
-                        # New sweep, new pair file: remap (dropping the
-                        # old references unmaps the unlinked file).
-                        file_cols = (spec.open_c1(), spec.open_c2())
-                        file_path = spec.path
-                    assert file_cols is not None
-                    fi1, fi2 = file_cols
-                    if kind == "batch_file_range":
-                        matrix[row, :] = batch_components(
-                            row_view,
-                            fi1[offset:stop:stride],
-                            fi2[offset:stop:stride],
-                        )
-                    else:
-                        for i1, i2 in zip(
-                            fi1[offset:stop:stride].tolist(),
-                            fi2[offset:stop:stride].tolist(),
-                        ):
-                            chain.merge(i1, i2)
-                elif (
-                    isinstance(task, tuple)
-                    and task
-                    and task[0] == "shard_local"
-                ):
-                    kind, name, capacity, seg_start, seg_stop, lo, hi = task
+                        chain = NumpyChainArray(n, buffer=row_view, initialized=True)
+                        for a, b in zip(i1.tolist(), i2.tolist()):
+                            chain.merge(a, b)
+                elif kind == "shard_local":
+                    _, name, capacity, seg_start, seg_stop, lo, hi = task
                     if edges_name != name:
                         if edges_block is not None:
                             edges_block.close()
@@ -252,16 +218,11 @@ def _worker(
                         edges_mat[1, seg_start:seg_stop] - lo,
                     )
                     matrix[1, lo:hi] = local + lo
-                elif (
-                    isinstance(task, tuple)
-                    and task
-                    and task[0] == "shard_writeback"
-                ):
-                    kind, lo, hi = task
+                elif kind == "shard_writeback":
+                    _, lo, hi = task
                     matrix[0, lo:hi] = matrix[1][matrix[0, lo:hi]]
                 else:
-                    for i1, i2 in task:
-                        chain.merge(i1, i2)
+                    raise ParameterError(f"unknown arena task {task!r}")
             except Exception as exc:  # repro: noqa: COR001 — reported to the parent, which raises
                 result_queue.put((row, f"{type(exc).__name__}: {exc}"))
             else:
@@ -278,15 +239,16 @@ class ShmArena:
     """Reusable shared-memory arena: one ``T x n`` block, ``T`` resident workers.
 
     Allocates a single shared block sized to ``num_workers`` rows of
-    ``n`` int64s and keeps ``num_workers`` processes alive across
-    :meth:`chunk_merge` calls; per chunk, only the row refresh and the
-    edge-pair slices are paid.  Lifecycle is explicit
-    (:meth:`start`/:meth:`shutdown`) or managed (``with`` statement);
-    ``chunk_merge`` starts lazily.
+    ``n`` int64s and keeps ``num_workers`` processes alive across chunk
+    calls; per chunk, only the row refresh and one range tuple per
+    worker are paid.  Lifecycle is explicit (:meth:`start`/:meth:`shutdown`)
+    or managed (``with`` statement); chunk calls start lazily.
 
     Timing counters (``spawn_time``, ``copy_time``, ``compute_time``,
-    ``merge_time``, plus ``chunks``/``tasks``) accumulate in seconds and
-    feed the runtime instrumentation in :mod:`repro.parallel.runtime`.
+    ``merge_time``) accumulate in seconds; the runtime in
+    :mod:`repro.parallel.runtime` diffs them around each chunk into
+    ``runtime:*`` spans.  ``chunks`` and the per-kind task counters
+    (``range_tasks``, ``batch_tasks``, ``shard_tasks``) count dispatches.
     """
 
     def __init__(self, n: int, num_workers: int = 2):
@@ -325,10 +287,8 @@ class ShmArena:
         self.compute_time = 0.0
         self.merge_time = 0.0
         self.chunks = 0
-        self.tasks = 0
         self.pair_loads = 0
         self.range_tasks = 0
-        self.list_tasks = 0
         self.batch_tasks = 0
         self.shard_tasks = 0
         self.boundary_edges = 0
@@ -530,7 +490,7 @@ class ShmArena:
         return self.shard_partition().max_width * 8
 
     def __enter__(self) -> "ShmArena":
-        # Lazy: chunk_merge starts the workers only when a chunk really
+        # Lazy: chunk calls start the workers only when a chunk really
         # needs them (empty/inline chunks never pay the spawn).
         return self
 
@@ -572,59 +532,18 @@ class ShmArena:
             )
         return base_arr
 
-    def chunk_merge(
-        self, base: Sequence[int], edge_pairs: Sequence[Tuple[int, int]]
-    ) -> List[int]:
-        """Process one chunk's edge pairs over the shared block.
-
-        ``base`` is the current array ``C`` (length ``n``); returns the
-        merged array after all pairs as a plain list — identical to
-        serial processing (the join of the per-worker results).
-        """
-        base_arr = self._check_base(base)
-        self.chunks += 1
-        parts = [
-            p for p in round_robin_partition(list(edge_pairs), self.num_workers) if p
-        ]
-        if not parts or self.n == 0:
-            return base_arr.tolist()
-        if len(parts) == 1 or self.num_workers == 1:
-            # One busy worker: IPC buys nothing; merge inline.
-            t0 = time.perf_counter()
-            chain = NumpyChainArray(self.n, buffer=base_arr.copy(), initialized=True)
-            for i1, i2 in edge_pairs:
-                chain.merge(i1, i2)
-            self.compute_time += time.perf_counter() - t0
-            return chain.raw().tolist()
-
-        self.start()
-        assert self._matrix is not None
-        t = len(parts)
-
-        t0 = time.perf_counter()
-        self._matrix[:t] = base_arr  # T duplicate copies of C (paper, step 1)
-        self.copy_time += time.perf_counter() - t0
-
-        t0 = time.perf_counter()
-        for row, part in enumerate(parts):
-            self._task_queues[row].put(part)
-        self.tasks += t
-        self.list_tasks += t
-        self._collect(t)
-        self.compute_time += time.perf_counter() - t0
-
-        return self._combine_rows(t)
-
     def chunk_merge_range(
         self, base: Sequence[int], start: int, stop: int
     ) -> List[int]:
         """Process pairs ``[start, stop)`` of the loaded columns.
 
-        The columnar counterpart of :meth:`chunk_merge`: requires a
-        prior :meth:`load_pairs`, and dispatches only
-        ``("range", ...)`` tuples — worker ``r`` merges the strided
-        slice ``start + r :: num_workers``, which is exactly the
-        round-robin partition of the range.
+        ``base`` is the current array ``C`` (length ``n``); returns the
+        merged array after all pairs as a plain list — the join of the
+        per-worker results, identical to serial processing.  Requires a
+        prior :meth:`load_pairs` (or :meth:`load_pairs_file`) and
+        dispatches only range tuples — worker ``r`` merges the strided
+        slice ``start + r :: num_workers``, the round-robin partition
+        of the range.
         """
         base_arr = self._check_window(base, start, stop, "chunk_merge_range")
         self.chunks += 1
@@ -673,7 +592,6 @@ class ShmArena:
                     self.num_workers,
                 )
             self._task_queues[row].put(task)
-        self.tasks += busy
         self.range_tasks += busy
         self._collect(busy)
         self.compute_time += time.perf_counter() - t0
@@ -738,7 +656,6 @@ class ShmArena:
                     part.step,
                 )
             self._task_queues[row].put(task)
-        self.tasks += busy
         self.batch_tasks += busy
         self._collect(busy)
         self.compute_time += time.perf_counter() - t0
@@ -854,7 +771,6 @@ class ShmArena:
             )
             busy += 1
         if busy:
-            self.tasks += busy
             self.shard_tasks += busy
             self._collect(busy)
         self.compute_time += time.perf_counter() - t0
@@ -891,7 +807,6 @@ class ShmArena:
                     part.bounds[shard + 1],
                 )
             )
-        self.tasks += part.num_shards
         self.shard_tasks += part.num_shards
         self._collect(part.num_shards)
         self.compute_time += time.perf_counter() - t0
@@ -956,33 +871,3 @@ class ShmArena:
             f"{len(dead)} shared-memory worker(s) died before replying — {detail}",
             worker=dead[0],
         )
-
-
-def shm_chunk_merge(
-    base: Sequence[int],
-    edge_pairs: Sequence[Tuple[int, int]],
-    num_workers: int = 2,
-) -> List[int]:
-    """Process one chunk's edge pairs over shared memory (one-shot).
-
-    Convenience wrapper that runs a throwaway :class:`ShmArena` for a
-    single chunk — sweeps that process many chunks should hold one arena
-    (or use ``backend="shm"`` on
-    :func:`repro.parallel.par_sweep.parallel_coarse_sweep`, which does).
-
-    Parameters
-    ----------
-    base:
-        Current array ``C`` (length ``n``, chain invariants assumed).
-    edge_pairs:
-        The chunk's incident edge pairs (array-``C`` indices).
-    num_workers:
-        Worker processes; each gets a round-robin share and its own row.
-
-    Returns
-    -------
-    The merged array ``C`` after all pairs, as a plain list — the join
-    of the per-worker results, identical to serial processing.
-    """
-    with ShmArena(len(base), num_workers) as arena:
-        return arena.chunk_merge(base, edge_pairs)

@@ -211,3 +211,19 @@ class TestParallelColumns:
         par = parallel_similarity_columns(g, num_workers=2, backend=backend)
         np.testing.assert_array_equal(par.sim, serial.sim)
         np.testing.assert_array_equal(par.common_neighbors, serial.common_neighbors)
+
+    def test_csr_built_once_per_call(self, planted, monkeypatch):
+        # The pass-2 tasks get the parent's CSR arrays; no worker
+        # rebuilds the adjacency from the graph.
+        import repro.fast.similarity as fast_similarity
+
+        calls = []
+        real = fast_similarity._csr_arrays
+
+        def counting(graph):
+            calls.append(graph)
+            return real(graph)
+
+        monkeypatch.setattr(fast_similarity, "_csr_arrays", counting)
+        parallel_similarity_columns(planted, num_workers=3, backend="thread")
+        assert len(calls) == 1

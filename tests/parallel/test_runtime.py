@@ -51,6 +51,32 @@ def random_chunks(n, num_chunks, pairs_per_chunk, seed=0):
     ]
 
 
+def load_chunks(runtime, chunks):
+    """Load ``chunks`` into ``runtime`` as one pair-column set.
+
+    Returns each chunk's ``(start, stop)`` window of the loaded columns.
+    """
+    flat = [p for chunk in chunks for p in chunk]
+    runtime.load_pairs([a for a, _ in flat], [b for _, b in flat])
+    bounds = [0]
+    for chunk in chunks:
+        bounds.append(bounds[-1] + len(chunk))
+    return list(zip(bounds[:-1], bounds[1:]))
+
+
+def traced(runtime):
+    """Attach a fresh in-memory tracer to ``runtime``; return its sink."""
+    from repro.obs import MemorySink, Tracer
+
+    sink = MemorySink()
+    runtime.tracer = Tracer([sink])
+    return sink
+
+
+def spans_named(sink, name):
+    return [s for s in sink.spans if s.name == name]
+
+
 class TestFactory:
     def test_names(self):
         assert get_sweep_runtime("serial").name == "serial"
@@ -82,25 +108,26 @@ class TestFactory:
 class TestChunkMerge:
     def test_empty_chunk_returns_chain_unchanged(self, backend):
         with get_sweep_runtime(backend, 2) as runtime:
+            runtime.load_pairs([], [])
             chain = ChainArray(6)
-            after = runtime.chunk_merge(chain, [])
+            after = runtime.chunk_merge_range(chain, 0, 0)
             assert after is chain  # identity: caller skips the diff
             assert chain.labels() == list(range(6))
 
     def test_matches_serial_reference(self, backend):
         n = 30
+        chunks = random_chunks(n, 3, 20, seed=7)
         with get_sweep_runtime(backend, 3) as runtime:
             chain = ChainArray(n)
-            flat = []
-            for pairs in random_chunks(n, 3, 20, seed=7):
-                chain = runtime.chunk_merge(chain, pairs)
-                flat.extend(pairs)
+            for start, stop in load_chunks(runtime, chunks):
+                chain = runtime.chunk_merge_range(chain, start, stop)
+            flat = [p for chunk in chunks for p in chunk]
             assert chain.labels() == reference_merge(list(range(n)), flat)
 
 
 @pytest.mark.parametrize("backend", ["serial", "thread", "process", "shm"])
 class TestChunkMergeRange:
-    """runtime.load_pairs + chunk_merge_range ≡ chunk_merge over slices."""
+    """runtime.load_pairs + chunk_merge_range ≡ serial MERGE over slices."""
 
     def test_requires_load_pairs(self, backend):
         with get_sweep_runtime(backend, 2) as runtime:
@@ -120,21 +147,19 @@ class TestChunkMergeRange:
             assert runtime.chunk_merge_range(chain, 1, 1) is chain
 
     def test_matches_chunk_merge(self, backend):
+        # Every window boundary agrees with serial MERGE over the prefix.
         n = 30
         pairs = [p for chunk in random_chunks(n, 3, 20, seed=13) for p in chunk]
-        with get_sweep_runtime(backend, 3) as by_list:
-            with get_sweep_runtime(backend, 3) as by_range:
-                by_range.load_pairs(
-                    [a for a, _ in pairs], [b for _, b in pairs]
+        with get_sweep_runtime(backend, 3) as by_range:
+            by_range.load_pairs([a for a, _ in pairs], [b for _, b in pairs])
+            chain_r = ChainArray(n)
+            for start in range(0, len(pairs), 20):
+                stop = min(start + 20, len(pairs))
+                chain_r = by_range.chunk_merge_range(chain_r, start, stop)
+                assert same_partition(
+                    reference_merge(list(range(n)), pairs[:stop]), chain_r.labels()
                 )
-                chain_l = ChainArray(n)
-                chain_r = ChainArray(n)
-                for start in range(0, len(pairs), 20):
-                    stop = min(start + 20, len(pairs))
-                    chain_l = by_list.chunk_merge(chain_l, pairs[start:stop])
-                    chain_r = by_range.chunk_merge_range(chain_r, start, stop)
-                    assert same_partition(chain_l.labels(), chain_r.labels())
-                assert chain_r.labels() == reference_merge(list(range(n)), pairs)
+            assert chain_r.labels() == reference_merge(list(range(n)), pairs)
 
     def test_shm_ships_ranges_not_pairs(self, backend):
         if backend != "shm":
@@ -149,7 +174,6 @@ class TestChunkMergeRange:
                     chain, start, min(start + 20, len(pairs))
                 )
             arena = runtime.arena
-            assert arena.list_tasks == 0
             assert arena.range_tasks > 0
             assert arena.pair_loads == 1  # columns crossed exactly once
 
@@ -212,7 +236,6 @@ class TestChunkBatchRange:
                 )
             arena = runtime.arena
             assert arena.batch_tasks > 0
-            assert arena.list_tasks == 0
             assert arena.range_tasks == 0
             assert arena.pair_loads == 1
 
@@ -303,7 +326,6 @@ class TestChunkShardedRange:
                 )
             arena = runtime.arena
             assert arena.shard_tasks > 0
-            assert arena.list_tasks == 0
             assert arena.batch_tasks == 0
             assert arena.pair_loads == 1
             assert arena.boundary_edges > 0
@@ -343,45 +365,38 @@ class TestCopyMergeSplitAcrossEngines:
 
     @pytest.mark.parametrize("backend", ["thread", "process"])
     def test_batch_range_emits_split_spans(self, backend):
-        from repro.obs import MemorySink, Tracer
-
         n = 30
         pairs = [p for chunk in random_chunks(n, 2, 20, seed=9) for p in chunk]
-        sink = MemorySink()
         with get_sweep_runtime(backend, 3) as runtime:
-            runtime.tracer = Tracer([sink])
+            sink = traced(runtime)
             runtime.load_pairs([a for a, _ in pairs], [b for _, b in pairs])
             labels = identity(n)
             for start in range(0, len(pairs), 20):
                 labels = runtime.chunk_batch_range(
                     labels, start, min(start + 20, len(pairs))
                 )
-            stats = runtime.stats
-            assert stats.merge_time > 0.0
-            assert stats.copy_time == 0.0
+            assert sum(s.duration for s in spans_named(sink, "runtime:merge")) > 0.0
+            assert spans_named(sink, "runtime:copy") == []
         names = set(sink.span_names())
         assert {"runtime:compute", "runtime:merge"} <= names
         assert "runtime:copy" not in names
 
     def test_sharded_range_emits_split_spans(self):
-        from repro.obs import MemorySink, Tracer
-
         # Sharded chunks split the same way: worker seconds in compute,
         # host classification + reconciliation in merge, and no copy —
         # so cross-engine span comparisons are fair.
         n = 30
         pairs = [p for chunk in random_chunks(n, 2, 20, seed=9) for p in chunk]
-        sink = MemorySink()
         with get_sweep_runtime("thread", 3) as runtime:
-            runtime.tracer = Tracer([sink])
+            sink = traced(runtime)
             runtime.load_pairs([a for a, _ in pairs], [b for _, b in pairs])
             labels = identity(n)
             for start in range(0, len(pairs), 20):
                 labels, _ = runtime.chunk_sharded_range(
                     labels, start, min(start + 20, len(pairs))
                 )
-            assert runtime.stats.merge_time > 0.0
-            assert runtime.stats.copy_time == 0.0
+            assert sum(s.duration for s in spans_named(sink, "runtime:merge")) > 0.0
+            assert spans_named(sink, "runtime:copy") == []
         names = set(sink.span_names())
         assert {"runtime:compute", "runtime:merge"} <= names
         assert "runtime:copy" not in names
@@ -392,54 +407,67 @@ class TestPersistence:
 
     def test_process_pool_reused_across_chunks(self):
         n = 20
-        with LocalSweepRuntime("process", 2) as runtime:
+        runtime = LocalSweepRuntime("process", 2)
+        sink = traced(runtime)
+        with runtime:
+            windows = load_chunks(runtime, random_chunks(n, 4, 10, seed=1))
             chain = ChainArray(n)
             executors = set()
-            for pairs in random_chunks(n, 4, 10, seed=1):
-                chain = runtime.chunk_merge(chain, pairs)
+            for start, stop in windows:
+                chain = runtime.chunk_merge_range(chain, start, stop)
                 executors.add(id(runtime.backend._executor))
             assert len(executors) == 1  # one pool served every chunk
-            assert runtime.stats.chunks == 4
-            assert runtime.stats.tasks == 8
+        assert len(spans_named(sink, "runtime:spawn")) == 1
+        compute = spans_named(sink, "runtime:compute")
+        assert len(compute) == 4
+        assert sum(s.attrs["workers"] for s in compute) == 8
         assert not runtime.backend.running
 
     def test_thread_pool_reused_across_chunks(self):
         n = 20
         with LocalSweepRuntime("thread", 3) as runtime:
+            windows = load_chunks(runtime, random_chunks(n, 3, 12, seed=2))
             chain = ChainArray(n)
             executors = set()
-            for pairs in random_chunks(n, 3, 12, seed=2):
-                chain = runtime.chunk_merge(chain, pairs)
+            for start, stop in windows:
+                chain = runtime.chunk_merge_range(chain, start, stop)
                 executors.add(id(runtime.backend._executor))
             assert len(executors) == 1
 
     def test_shm_workers_reused_across_chunks(self):
         n = 24
         with ShmSweepRuntime(2) as runtime:
+            sink = traced(runtime)
+            windows = load_chunks(runtime, random_chunks(n, 4, 12, seed=3))
             chain = ChainArray(n)
             pids = set()
-            for pairs in random_chunks(n, 4, 12, seed=3):
-                chain = runtime.chunk_merge(chain, pairs)
+            for start, stop in windows:
+                chain = runtime.chunk_merge_range(chain, start, stop)
                 pids.add(tuple(runtime.arena.worker_pids()))
             assert len(pids) == 1  # same resident processes every chunk
-            assert runtime.stats.chunks == 4
-            assert runtime.stats.spawn_time > 0.0
+            assert len(spans_named(sink, "runtime:compute")) == 4
+            spawns = spans_named(sink, "runtime:spawn")
+            assert len(spawns) == 1 and spawns[0].duration > 0.0
         assert not runtime.arena.running
 
     def test_shm_arena_resized_on_new_array_length(self):
         with ShmSweepRuntime(2) as runtime:
-            runtime.chunk_merge(ChainArray(10), [(0, 1), (2, 3), (4, 5)])
+            runtime.load_pairs([0, 2, 4], [1, 3, 5])
+            runtime.chunk_merge_range(ChainArray(10), 0, 3)
             first = runtime.arena
-            runtime.chunk_merge(ChainArray(16), [(0, 1), (2, 3), (4, 5)])
+            runtime.chunk_merge_range(ChainArray(16), 0, 3)
             assert runtime.arena is not first
             assert runtime.arena.n == 16
 
     def test_runtime_restarts_after_shutdown(self):
         runtime = LocalSweepRuntime("thread", 2)
-        chain = runtime.chunk_merge(ChainArray(8), [(0, 1), (2, 3), (4, 5)])
+        (first, second) = load_chunks(
+            runtime, [[(0, 1), (2, 3), (4, 5)], [(1, 2), (5, 6), (6, 7)]]
+        )
+        chain = runtime.chunk_merge_range(ChainArray(8), *first)
         runtime.shutdown()
         assert not runtime.backend.running
-        chain = runtime.chunk_merge(chain, [(1, 2), (5, 6), (6, 7)])
+        chain = runtime.chunk_merge_range(chain, *second)
         runtime.shutdown()
         assert chain.labels() == reference_merge(
             list(range(8)), [(0, 1), (2, 3), (4, 5), (1, 2), (5, 6), (6, 7)]
@@ -453,7 +481,7 @@ class TestSweeperIntegration:
         class ExplodingRuntime(SweepRuntime):
             name = "exploding"
 
-            def chunk_merge(self, chain, edge_pairs):
+            def chunk_merge_range(self, chain, start, stop):
                 raise AssertionError("runtime consulted for an empty chunk")
 
         sim = compute_similarity_map(triangle)
@@ -464,6 +492,37 @@ class TestSweeperIntegration:
         sweeper._apply_chunk(range(0, 0))
         assert sweeper.chain is before_chain
         assert sweeper.pending == []
+
+    def test_range_only_runtime_serves_dict_input(self, planted):
+        """A dict similarity map reaches the runtime through the range
+        transport only: a runtime implementing nothing else serves the
+        chained sweep and matches the serial dict oracle at every level."""
+
+        class RangeOnlyRuntime(SweepRuntime):
+            name = "range-only"
+
+            def chunk_merge_range(self, chain, start, stop):
+                i1, i2 = self._require_pairs(start, stop)
+                merged = chain.copy()
+                for a, b in zip(i1[start:stop].tolist(), i2[start:stop].tolist()):
+                    merged.merge(a, b)
+                return merged
+
+        sim = compute_similarity_map(planted)
+        params = CoarseParams(phi=2, delta0=10)
+        reference = coarse_sweep(planted, sim, params)
+        result = parallel_coarse_sweep(
+            planted, sim, params, backend=RangeOnlyRuntime()
+        )
+        assert [(e.kind, e.level, e.xi, e.p) for e in reference.epochs] == [
+            (e.kind, e.level, e.xi, e.p) for e in result.epochs
+        ]
+        assert result.num_levels == reference.num_levels
+        for level in range(reference.num_levels + 1):
+            assert same_partition(
+                reference.dendrogram.labels_at_level(level),
+                result.dendrogram.labels_at_level(level),
+            ), level
 
     def test_caller_owned_runtime_survives_two_sweeps(self, planted):
         sim = compute_similarity_map(planted)
@@ -513,6 +572,16 @@ class TestCrossBackendDeterminism:
                 ), (backend, level)
 
 
+def arena_merge(arena, base, pairs):
+    """One chunk of ``pairs`` through the arena's range transport.
+
+    ``load_pairs`` does not bounds-check, so an out-of-range index
+    reaches the worker that owns it.
+    """
+    arena.load_pairs([a for a, _ in pairs], [b for _, b in pairs])
+    return arena.chunk_merge_range(base, 0, len(pairs))
+
+
 class TestArenaFailures:
     def test_worker_error_raises_parallel_error_and_unlinks(self):
         """A worker raising inside _worker surfaces as ParallelError and
@@ -522,7 +591,7 @@ class TestArenaFailures:
         arena = ShmArena(8, 2)
         with pytest.raises(ParallelError, match="worker"):
             with arena:
-                arena.chunk_merge(list(range(8)), [(0, 1), (2, 99)])
+                arena_merge(arena, list(range(8)), [(0, 1), (2, 99)])
         assert not arena.running
         if before is not None:
             assert set(os.listdir(shm_dir)) <= before
@@ -530,7 +599,7 @@ class TestArenaFailures:
     def test_worker_error_carries_worker_index(self):
         with ShmArena(8, 2) as arena:
             with pytest.raises(ParallelError) as excinfo:
-                arena.chunk_merge(list(range(8)), [(0, 1), (2, 99)])
+                arena_merge(arena, list(range(8)), [(0, 1), (2, 99)])
             assert excinfo.value.worker == 1  # pair (2, 99) is row 1's share
 
     def test_arena_survives_worker_error(self):
@@ -538,8 +607,8 @@ class TestArenaFailures:
         from base at the next chunk, so the arena keeps serving."""
         with ShmArena(8, 2) as arena:
             with pytest.raises(ParallelError):
-                arena.chunk_merge(list(range(8)), [(0, 1), (2, 99)])
-            merged = arena.chunk_merge(list(range(8)), [(0, 1), (2, 3)])
+                arena_merge(arena, list(range(8)), [(0, 1), (2, 99)])
+            merged = arena_merge(arena, list(range(8)), [(0, 1), (2, 3)])
             assert ChainArray(8, _init=merged).labels() == reference_merge(
                 list(range(8)), [(0, 1), (2, 3)]
             )
@@ -553,7 +622,8 @@ class TestArenaFailures:
             victim.terminate()
             victim.join()
             with pytest.raises(ParallelError, match="SIGTERM"):
-                arena.chunk_merge(
+                arena_merge(
+                    arena,
                     list(range(16)),
                     [(i, i + 1) for i in range(12)],
                 )
@@ -562,7 +632,7 @@ class TestArenaFailures:
     def test_base_length_validated(self):
         with ShmArena(8, 2) as arena:
             with pytest.raises(ParameterError):
-                arena.chunk_merge(list(range(9)), [(0, 1)])
+                arena_merge(arena, list(range(9)), [(0, 1)])
 
 
 class TestExitcodeClassification:
@@ -583,14 +653,17 @@ def test_shm_run_is_warning_clean():
     resource-tracker KeyError / leaked-object warnings at interpreter
     exit (workers must not register the parent's block)."""
     script = (
-        "from repro.parallel.shm_sweep import shm_chunk_merge\n"
+        "from repro.parallel.shm_sweep import ShmArena\n"
         "from repro.parallel.runtime import ShmSweepRuntime\n"
         "from repro.cluster.unionfind import ChainArray\n"
-        "shm_chunk_merge(list(range(32)), [(i, i + 1) for i in range(20)], 2)\n"
+        "with ShmArena(32, 2) as arena:\n"
+        "    arena.load_pairs(list(range(20)), list(range(1, 21)))\n"
+        "    arena.chunk_merge_range(list(range(32)), 0, 20)\n"
         "with ShmSweepRuntime(2) as rt:\n"
+        "    rt.load_pairs(list(range(20)) * 3, list(range(2, 22)) * 3)\n"
         "    chain = ChainArray(32)\n"
-        "    for _ in range(3):\n"
-        "        chain = rt.chunk_merge(chain, [(i, i + 2) for i in range(20)])\n"
+        "    for start in (0, 20, 40):\n"
+        "        chain = rt.chunk_merge_range(chain, start, start + 20)\n"
         "with ShmSweepRuntime(2) as rt:\n"
         "    rt.load_pairs(list(range(20)), list(range(2, 22)))\n"
         "    chain = ChainArray(32)\n"

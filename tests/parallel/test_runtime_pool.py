@@ -90,12 +90,14 @@ class TestRuntimesWork:
 
         n = 100
         chunks = make_chunk_workload(n=n, num_chunks=2, pairs_per_chunk=5, seed=7)
+        flat = [p for pairs in chunks for p in pairs]
         with RuntimePool() as pool:
             runtime = pool.lease("thread", 2)
             try:
+                runtime.load_pairs([a for a, _ in flat], [b for _, b in flat])
                 chain = ChainArray(n)
-                for pairs in chunks:
-                    chain = runtime.chunk_merge(chain, pairs)
+                for start in range(0, len(flat), 5):
+                    chain = runtime.chunk_merge_range(chain, start, start + 5)
                 assert any(chain.find(i) != i for i in range(n))
             finally:
                 pool.release("thread", 2, runtime)

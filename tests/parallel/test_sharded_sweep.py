@@ -19,7 +19,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cluster.unionfind import ChainArray
 from repro.errors import ClusteringError
 from repro.fast.batch_sweep import batch_components
 from repro.obs import MemorySink, Tracer
@@ -29,7 +28,6 @@ from repro.parallel.sharded_sweep import (
     apply_relabels,
     dedupe_root_pairs,
     reconcile_labels,
-    sharded_chunk_merge,
     sharded_components,
     solve_shard,
 )
@@ -166,10 +164,13 @@ class TestDedupeRootPairs:
 
 
 class TestShardedComponents:
-    @pytest.mark.parametrize("num_shards", [1, 2, 3, 5, 8])
-    def test_matches_batch_components(self, num_shards):
-        n = 40
-        i1, i2 = random_edges(n, 70, seed=num_shards)
+    @pytest.mark.parametrize(
+        "num_shards, n, m, seed",
+        [pytest.param(k, 40, 70, k, id=str(k)) for k in (1, 2, 3, 5, 8)]
+        + [pytest.param(4, 35, 50, 11, id="n35-4")],
+    )
+    def test_matches_batch_components(self, num_shards, n, m, seed):
+        i1, i2 = random_edges(n, m, seed=seed)
         labels = np.arange(n, dtype=np.int64)
         expect = batch_components(labels, i1, i2)
         merged, _ = exact_merged(labels, i1, i2, num_shards)
@@ -354,29 +355,6 @@ class TestShardedComponents:
         assert sink.counters["boundary_edges"] == stats.boundary_edges
         assert sink.counters["reconcile_rounds"] == stats.reconcile_rounds
         assert sink.counters["shard_bytes"] == part.max_width * 8
-
-
-class TestShardedChunkMerge:
-    def test_matches_batch_chunk_merge(self):
-        n = 35
-        i1, i2 = random_edges(n, 50, seed=11)
-        part = ShardedPartition.build(n, 4)
-        batch = batch_components(np.arange(n, dtype=np.int64), i1, i2)
-        sharded = sharded_chunk_merge(ChainArray(n), i1, i2, part)
-        assert sharded.labels() == batch.tolist()
-        assert sharded.num_clusters() == int(np.count_nonzero(batch == np.arange(n)))
-
-    def test_original_chain_untouched(self):
-        chain = ChainArray(5)
-        merged = sharded_chunk_merge(
-            chain,
-            np.array([0], dtype=np.int64),
-            np.array([4], dtype=np.int64),
-            ShardedPartition.build(5, 2),
-        )
-        assert chain.labels() == list(range(5))
-        assert merged is not chain
-        assert merged.find(4) == 0
 
 
 @settings(max_examples=40, deadline=None)

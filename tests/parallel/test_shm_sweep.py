@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from repro.cluster.unionfind import ChainArray
 from repro.errors import ParameterError
-from repro.parallel.shm_sweep import ShmArena, shm_chunk_merge
+from repro.parallel.shm_sweep import ShmArena
 
 
 def serial_reference(base, pairs):
@@ -30,22 +30,31 @@ def labels_of(raw):
     return chain.labels()
 
 
+def arena_merge(base, pairs, num_workers):
+    """One chunk of ``pairs`` over a throwaway arena's range transport."""
+    with ShmArena(len(base), num_workers) as arena:
+        arena.load_pairs([a for a, _ in pairs], [b for _, b in pairs])
+        return arena.chunk_merge_range(base, 0, len(pairs))
+
+
 class TestShmChunkMerge:
+    """One chunk over a fresh arena, the range transport end to end."""
+
     def test_validation(self):
         with pytest.raises(ParameterError):
-            shm_chunk_merge([0, 1], [(0, 1)], num_workers=0)
+            arena_merge([0, 1], [(0, 1)], num_workers=0)
 
     def test_empty_pairs(self):
         base = [0, 1, 2]
-        assert shm_chunk_merge(base, [], num_workers=2) == base
+        assert arena_merge(base, [], num_workers=2) == base
 
     def test_empty_base(self):
-        assert shm_chunk_merge([], [], num_workers=2) == []
+        assert arena_merge([], [], num_workers=2) == []
 
     def test_single_worker_inline(self):
         base = list(range(6))
         pairs = [(0, 3), (1, 4), (3, 4)]
-        merged = shm_chunk_merge(base, pairs, num_workers=1)
+        merged = arena_merge(base, pairs, num_workers=1)
         assert labels_of(merged) == serial_reference(base, pairs)
 
     @pytest.mark.parametrize("workers", [2, 3, 4])
@@ -59,14 +68,14 @@ class TestShmChunkMerge:
         pairs = [
             (rng.randrange(n), rng.randrange(n)) for _ in range(60)
         ]
-        merged = shm_chunk_merge(base, pairs, num_workers=workers)
+        merged = arena_merge(base, pairs, num_workers=workers)
         assert labels_of(merged) == serial_reference(base, pairs)
 
     def test_invariant_holds_after_merge(self):
         rng = random.Random(5)
         n = 25
         pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(30)]
-        merged = shm_chunk_merge(list(range(n)), pairs, num_workers=3)
+        merged = arena_merge(list(range(n)), pairs, num_workers=3)
         assert all(merged[i] <= i for i in range(n))
 
 
@@ -79,13 +88,13 @@ class TestShmFailures:
         base = list(range(8))
         bad_pairs = [(0, 1), (2, 99)]  # 99 out of range -> worker raises
         with pytest.raises(ParallelError, match="worker"):
-            shm_chunk_merge(base, bad_pairs, num_workers=2)
+            arena_merge(base, bad_pairs, num_workers=2)
 
     def test_shared_block_cleaned_up(self):
         """No shared-memory blocks leak (unlink always runs)."""
         base = list(range(10))
         pairs = [(0, 5), (1, 6)]
-        shm_chunk_merge(base, pairs, num_workers=2)
+        arena_merge(base, pairs, num_workers=2)
         # creating a block with any fresh name must not collide with a
         # leak; more directly, resource_tracker warnings would fail the
         # run — reaching here without exceptions is the check.
@@ -122,19 +131,20 @@ class TestChunkMergeRange:
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_matches_chunk_merge(self, workers):
+        # Every window boundary agrees with serial MERGE over the prefix.
         n = 30
         pairs = self.make_pairs(n, 50, seed=workers)
         i1 = [a for a, _ in pairs]
         i2 = [b for _, b in pairs]
-        with ShmArena(n, workers) as by_range, ShmArena(n, workers) as by_list:
+        with ShmArena(n, workers) as by_range:
             by_range.load_pairs(i1, i2)
             base_r = list(range(n))
-            base_l = list(range(n))
             for start in range(0, len(pairs), 17):
                 stop = min(start + 17, len(pairs))
                 base_r = by_range.chunk_merge_range(base_r, start, stop)
-                base_l = by_list.chunk_merge(base_l, pairs[start:stop])
-                assert labels_of(base_r) == labels_of(base_l)
+                assert labels_of(base_r) == serial_reference(
+                    list(range(n)), pairs[:stop]
+                )
 
     def test_no_pair_data_crosses_the_queue(self):
         """The columnar path must dispatch range tuples only."""
@@ -145,7 +155,6 @@ class TestChunkMergeRange:
             base = list(range(n))
             for start in range(0, len(pairs), 12):
                 base = arena.chunk_merge_range(base, start, min(start + 12, 48))
-            assert arena.list_tasks == 0
             assert arena.range_tasks > 0
             assert arena.pair_loads == 1
             assert labels_of(base) == serial_reference(list(range(n)), pairs)
@@ -241,7 +250,6 @@ class TestChunkBatchRange:
                 base = arena.chunk_batch_range(base, start, min(start + 12, 48))
             assert arena.batch_tasks > 0
             assert arena.range_tasks == 0
-            assert arena.list_tasks == 0
             assert arena.pair_loads == 1
 
 
@@ -332,7 +340,6 @@ class TestChunkShardedRange:
             assert arena.shard_tasks > 0
             assert arena.batch_tasks == 0
             assert arena.range_tasks == 0
-            assert arena.list_tasks == 0
             assert arena.pair_loads == 1
             assert arena.boundary_edges > 0
             assert arena.shard_bytes == 8 * arena.shard_partition().max_width
@@ -403,7 +410,7 @@ def test_property_shm_equals_serial(n, seed, workers):
     rng = random.Random(seed)
     base = list(range(n))
     pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(2 * n)]
-    merged = shm_chunk_merge(base, pairs, num_workers=workers)
+    merged = arena_merge(base, pairs, num_workers=workers)
     assert labels_of(merged) == serial_reference(base, pairs)
 
 
