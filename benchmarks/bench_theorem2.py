@@ -8,6 +8,10 @@ element visited by MERGE, so the *exact* inequality — not just the
 asymptotic form — can be checked on every graph family the paper's
 analysis discusses: k-regular (circulant), complete, power-law,
 planted-partition, and the word-association sweep itself.
+
+Each family is also swept over the columnar form of the same map, whose
+MERGE loop is the ``ChainArray.merge_run`` kernel; its ``accesses`` and
+``changes`` must equal the dict sweep's, which calls ``merge`` per wedge.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ import math
 from repro.bench.datasets import association_graph
 from repro.bench.runner import ResultTable, save_json
 from repro.core.metrics import compute_metrics
+from repro.core.simcolumns import SimilarityColumns
 from repro.core.similarity import compute_similarity_map
 from repro.core.sweep import sweep
 from repro.graph import generators
@@ -45,8 +50,12 @@ def test_theorem2_access_bound(benchmark, preset, results_dir):
     last_graph = None
     for family, graph in _families(preset):
         metrics = compute_metrics(graph)
-        result = sweep(graph)
+        sim = compute_similarity_map(graph)
+        result = sweep(graph, sim)
         accesses = result.chain.accesses
+        columnar = sweep(graph, SimilarityColumns.from_similarity_map(sim))
+        assert columnar.chain.accesses == accesses, family
+        assert columnar.chain.changes == result.chain.changes, family
         # Exact form from the appendix: X <= K2 + sqrt(K2) * |E|, and the
         # algorithm touches 2X elements in total.
         bound = 2.0 * (

@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from itertools import repeat
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -25,25 +26,48 @@ from repro.errors import ClusteringError
 __all__ = ["Merge", "Dendrogram", "DendrogramBuilder"]
 
 
-@dataclass(frozen=True)
-class Merge:
-    """One merge record ``level: left, right -> parent``.
+# Builds a Merge from already-checked fields, skipping Merge.__new__.
+_new_record: Callable[..., Any] = tuple.__new__
 
-    ``similarity`` is the score at which the merge happened (``None`` when
-    the producing algorithm did not track it, e.g. coarse-grained levels).
-    """
 
+def _bad_parent(level: int, left: int, right: int, parent: int) -> ClusteringError:
+    return ClusteringError(
+        f"merge parent must be min(left, right): "
+        f"level={level}, left={left}, right={right}, parent={parent}"
+    )
+
+
+class _MergeFields(NamedTuple):
     level: int
     left: int
     right: int
     parent: int
     similarity: Optional[float] = None
 
-    def __post_init__(self) -> None:
-        if self.parent != min(self.left, self.right):
-            raise ClusteringError(
-                f"merge parent must be min(left, right): {self!r}"
-            )
+
+class Merge(_MergeFields):
+    """One merge record ``level: left, right -> parent``.
+
+    ``similarity`` is the score at which the merge happened (``None`` when
+    the producing algorithm did not track it, e.g. coarse-grained levels).
+    Records are immutable and compare equal field by field.  A tuple
+    underneath, so :class:`DendrogramBuilder` can emit thousands of them
+    per sweep without per-record dataclass construction.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        level: int,
+        left: int,
+        right: int,
+        parent: int,
+        similarity: Optional[float] = None,
+    ) -> "Merge":
+        if parent != min(left, right):
+            raise _bad_parent(level, left, right, parent)
+        return _new_record(cls, (level, left, right, parent, similarity))
 
 
 class Dendrogram:
@@ -180,7 +204,11 @@ class DendrogramBuilder:
         parent: int,
         similarity: Optional[float] = None,
     ) -> None:
-        self._merges.append(Merge(level, left, right, parent, similarity))
+        if parent != (left if left < right else right):
+            raise _bad_parent(level, left, right, parent)
+        self._merges.append(
+            _new_record(Merge, (level, left, right, parent, similarity))
+        )
 
     def record_merges(
         self, level: int, parents: np.ndarray, children: np.ndarray
@@ -190,12 +218,17 @@ class DendrogramBuilder:
 
         ``parents`` and ``children`` are equal-length integer arrays with
         ``parents[k] < children[k]`` — the shape of a partition diff's
-        records (:func:`repro.core.coarse.transition_merges`).
+        records (:func:`repro.core.coarse.transition_merges`), checked
+        once for the whole batch.
         """
-        self._merges.extend(
-            Merge(level, parent, child, parent)
-            for parent, child in zip(parents.tolist(), children.tolist())
-        )
+        if parents.shape != children.shape or not np.all(parents < children):
+            raise ClusteringError(
+                "record_merges needs equal-length arrays with "
+                "parents[k] < children[k]"
+            )
+        lefts = parents.tolist()
+        fields = zip(repeat(level), lefts, children.tolist(), lefts, repeat(None))
+        self._merges.extend(map(_new_record, repeat(Merge), fields))
 
     @property
     def num_merges(self) -> int:

@@ -16,11 +16,11 @@ Semantics are identical to :class:`repro.cluster.unionfind.ChainArray`
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.cluster.unionfind import MergeOutcome
+from repro.cluster.unionfind import ChainArray, MergeOutcome
 from repro.errors import ClusteringError
 
 __all__ = ["NumpyChainArray"]
@@ -129,6 +129,27 @@ class NumpyChainArray:
         if merged:
             self._clusters -= 1
         return MergeOutcome(merged=merged, c1=c1, c2=c2, parent=cmin)
+
+    def merge_run(
+        self,
+        c1: Sequence[int],
+        c2: Sequence[int],
+        start: int,
+        stop: int,
+        changes: Optional[List[int]] = None,
+    ) -> List[Tuple[int, int, int, int]]:
+        """:meth:`ChainArray.merge_run` on this buffer.
+
+        The buffer is read as a list once, run through the list kernel
+        and written back once, so no wedge pays numpy scalar indexing.
+        """
+        work = ChainArray._adopt(self._c.tolist(), self._clusters)
+        found = work.merge_run(c1, c2, start, stop, changes)
+        self._c[:] = work.raw()
+        self._changes += work.changes
+        self._accesses += work.accesses
+        self._clusters = work.num_clusters()
+        return found
 
     def rewrite(self, members, target: int) -> int:
         """Point every id in ``members`` at ``target`` (target <= id).

@@ -21,7 +21,9 @@ the paper.
 
 from __future__ import annotations
 
-from typing import Iterator, List, NamedTuple, Optional, Sequence
+from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.errors import ClusteringError
 
@@ -142,6 +144,102 @@ class ChainArray:
             self._clusters -= 1
         return MergeOutcome(merged=merged, c1=c1, c2=c2, parent=cmin)
 
+    def merge_run(
+        self,
+        c1: Sequence[int],
+        c2: Sequence[int],
+        start: int,
+        stop: int,
+        changes: Optional[List[int]] = None,
+    ) -> List[Tuple[int, int, int, int]]:
+        """:meth:`merge` over wedges ``start..stop-1`` in one loop.
+
+        Wedge ``w`` is the edge-index pair ``(c1[w], c2[w])``.  The
+        result is exactly that of calling ``merge(c1[w], c2[w])`` in
+        order: the same array ``C`` (both chains rewritten to their
+        minimum), ``changes``, ``accesses`` and cluster count.  Returns
+        ``(w, c1, c2, parent)`` for every genuine merge, in order.  When
+        ``changes`` is a list, each wedge's number of array-``C`` value
+        changes is appended to it (Figure 2(1)).
+
+        ``c1``/``c2`` may be lists or integer arrays; the window is
+        bounds-checked up front, so an out-of-range index raises
+        :class:`ClusteringError` before ``C`` is touched.  This is the
+        columnar sweeps' MERGE loop: the chain walks are inlined, so a
+        wedge costs a few list reads instead of a method call, two
+        ``chain()`` lists and a result tuple.
+        """
+        if not 0 <= start <= stop <= min(len(c1), len(c2)):
+            raise ClusteringError(
+                f"wedge window [{start}, {stop}) out of range for "
+                f"{min(len(c1), len(c2))} wedges"
+            )
+        c = self._c
+        n = len(c)
+        seg1 = np.asarray(c1[start:stop], dtype=np.int64)
+        seg2 = np.asarray(c2[start:stop], dtype=np.int64)
+        if seg1.size and (
+            min(int(seg1.min()), int(seg2.min())) < 0
+            or max(int(seg1.max()), int(seg2.max())) >= n
+        ):
+            raise ClusteringError(
+                f"wedge window [{start}, {stop}) indexes items outside "
+                f"ChainArray of size {n}"
+            )
+        merges: List[Tuple[int, int, int, int]] = []
+        accesses = 0
+        total = 0
+        w = start
+        for x, y in zip(seg1.tolist(), seg2.tolist()):
+            # F(x) and F(y): walk each chain to its self-loop, counting
+            # the elements visited (Theorem 2's accesses).
+            r1 = c[x]
+            n1 = 1
+            if r1 != x:
+                n1 = 2
+                t = c[r1]
+                while t != r1:
+                    r1 = t
+                    t = c[r1]
+                    n1 += 1
+            r2 = c[y]
+            n2 = 1
+            if r2 != y:
+                n2 = 2
+                t = c[r2]
+                while t != r2:
+                    r2 = t
+                    t = c[r2]
+                    n2 += 1
+            accesses += n1 + n2
+            ch = 0
+            if r1 != r2 or n1 > 2 or n2 > 2:
+                # Rewrite both chains to the minimum.  Chains of length
+                # <= 2 in one cluster already point at it, so the common
+                # no-op wedge skips this.  Walking the second chain
+                # after the first is rewritten stops where they joined,
+                # so a shared suffix is counted once, as in merge().
+                cmin = r1 if r1 < r2 else r2
+                for j in (x, y):
+                    while True:
+                        t = c[j]
+                        if t != cmin:
+                            c[j] = cmin
+                            ch += 1
+                        if t == j:
+                            break
+                        j = t
+                total += ch
+                if r1 != r2:
+                    merges.append((w, r1, r2, cmin))
+            if changes is not None:
+                changes.append(ch)
+            w += 1
+        self._accesses += accesses
+        self._changes += total
+        self._clusters -= len(merges)
+        return merges
+
     def rewrite(self, members, target: int) -> int:
         """Point every id in ``members`` at ``target`` (target <= each id).
 
@@ -228,12 +326,20 @@ class ChainArray:
         Copies the array and the three counters directly: the cluster
         count is already known, so no O(n) root scan is paid.
         """
-        dup = ChainArray.__new__(ChainArray)
-        dup._c = list(self._c)
+        dup = ChainArray._adopt(list(self._c), self._clusters)
         dup._changes = self._changes
         dup._accesses = self._accesses
-        dup._clusters = self._clusters
         return dup
+
+    @classmethod
+    def _adopt(cls, values: List[int], clusters: int) -> "ChainArray":
+        """Wrap ``values`` (not copied) whose root count is known."""
+        chain = cls.__new__(cls)
+        chain._c = values
+        chain._clusters = clusters
+        chain._changes = 0
+        chain._accesses = 0
+        return chain
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ChainArray):

@@ -6,10 +6,11 @@ cancellation follows the stop-flag idiom (lenticular-lens's
 it from any thread, and the run raises
 :class:`~repro.errors.RunCancelledError` at its next checkpoint —
 chunk/level boundaries in the coarse sweep, every vertex pair (dict
-path) or every :data:`CHECK_INTERVAL` wedges (columnar path) in the
-fine-grained sweep.  Checkpoints sit outside the inner MERGE loops, so
-an un-cancelled run pays one attribute test per boundary and nothing
-per merge.
+path) or between kernel windows of :data:`CHECK_INTERVAL` wedges
+(columnar path, one :meth:`~repro.cluster.unionfind.ChainArray.merge_run`
+call per window) in the fine-grained sweep.  Checkpoints sit outside
+the inner MERGE loops, so an un-cancelled run pays one attribute test
+per boundary and nothing per merge.
 
 Tokens are single-shot: once cancelled they stay cancelled.  A token
 may be shared by several runs (cancel them as a group) but is most
@@ -26,7 +27,8 @@ from repro.errors import RunCancelledError
 
 __all__ = ["CancelToken", "CHECK_INTERVAL"]
 
-#: Wedge-loop checkpoint stride for the columnar fine sweep: frequent
+#: Kernel window length, in wedges, of the columnar fine sweep; the
+#: cancel checkpoint sits between windows.  Frequent
 #: enough that cancellation lands in well under a millisecond of
 #: compute, sparse enough that the flag test vanishes in the loop cost.
 CHECK_INTERVAL = 4096

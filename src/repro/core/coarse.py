@@ -45,7 +45,7 @@ records at commit with one vectorized diff (:func:`transition_merges`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -64,7 +64,7 @@ from repro.core.registry import get_engine
 from repro.core.simcolumns import SimilarityColumns
 from repro.core.similarity import SimilarityMap, compute_similarity_map
 from repro.core.storage import StorageSettings, make_pair_store
-from repro.core.sweep import build_edge_index
+from repro.core.sweep import build_edge_index, merge_pair_positions
 from repro.errors import ParameterError
 from repro.graph.graph import Graph
 from repro.obs import as_tracer
@@ -119,8 +119,7 @@ class CoarseParams:
         return (1.0 + self.gamma) / 2.0
 
 
-@dataclass(frozen=True)
-class _PendingMerge:
+class _PendingMerge(NamedTuple):
     """A genuine merge awaiting level assignment (pos = index into L)."""
 
     pos: int
@@ -645,32 +644,26 @@ class _CoarseSweeper:
             return
         chain = self.chain
         assert isinstance(chain, ChainArray)
-        if self.store is not None:
-            if self.store.streaming:
-                self._apply_chunk_streaming(chunk)
-                return
-            offsets = self.store.offsets_list
-            c1 = self.store.c1_list
-            c2 = self.store.c2_list
-            sims = self.store.sims_list
+        store = self.store
+        if store is not None:
+            # One kernel call per store window (the whole chunk for the
+            # in-memory store); each merge's pair is found from its wedge
+            # index, so only genuine merges read offsets and similarities.
+            w_start = int(store.offsets[chunk.start])
+            w_end = int(store.offsets[chunk.stop])
             with self.tracer.span("runtime:compute", workers=1):
-                for pos in chunk:
-                    similarity = sims[pos]
-                    start, end = offsets[pos], offsets[pos + 1]
-                    for widx in range(start, end):
-                        outcome = chain.merge(c1[widx], c2[widx])
-                        if outcome.merged:
-                            self.pending.append(
-                                _PendingMerge(
-                                    pos,
-                                    outcome.c1,
-                                    outcome.c2,
-                                    outcome.parent,
-                                    similarity,
-                                )
-                            )
-                    self.xi += end - start
-                    self.p = pos + 1
+                for s, e in store.window_ranges(w_start, w_end):
+                    c1w, c2w = store.window(s, e)
+                    found = chain.merge_run(c1w, c2w, 0, e - s)
+                    pos = merge_pair_positions(found, store.offsets, base=s)
+                    self.pending.extend(
+                        _PendingMerge(pair, m[1], m[2], m[3], similarity)
+                        for pair, similarity, m in zip(
+                            pos.tolist(), store.sims[pos].tolist(), found
+                        )
+                    )
+            self.xi += w_end - w_start
+            self.p = chunk.stop
             return
         graph = self.graph
         index = self.index
@@ -691,48 +684,6 @@ class _CoarseSweeper:
                         )
                 self.xi += len(commons)
                 self.p = pos + 1
-
-    def _apply_chunk_streaming(self, chunk: range) -> None:
-        """Chained merge loop over bounded store windows.
-
-        Behaviourally identical to the list-based loop — same merges in
-        the same order — but only ever holds one window's worth of the
-        wedge stream (plus its pair slice) in Python lists, so the
-        resident set stays bounded by the store's window size instead of
-        K2.
-        """
-        store = self.store
-        assert store is not None
-        chain = self.chain
-        assert isinstance(chain, ChainArray)
-        with self.tracer.span("runtime:compute", workers=1):
-            pos = chunk.start
-            while pos < chunk.stop:
-                blk = store.pair_block_end(pos, chunk.stop)
-                offs = store.offsets[pos : blk + 1].tolist()
-                sims = store.sims[pos:blk].tolist()
-                w0 = offs[0]
-                c1_arr, c2_arr = store.window(w0, offs[-1])
-                c1 = c1_arr.tolist()
-                c2 = c2_arr.tolist()
-                for i in range(blk - pos):
-                    similarity = sims[i]
-                    start, end = offs[i], offs[i + 1]
-                    for widx in range(start - w0, end - w0):
-                        outcome = chain.merge(c1[widx], c2[widx])
-                        if outcome.merged:
-                            self.pending.append(
-                                _PendingMerge(
-                                    pos + i,
-                                    outcome.c1,
-                                    outcome.c2,
-                                    outcome.parent,
-                                    similarity,
-                                )
-                            )
-                    self.xi += end - start
-                    self.p = pos + i + 1
-                pos = blk
 
     def _apply_chunk_batch(self, chunk: range) -> None:
         """Union the whole chunk in O(log n) vectorized rounds.

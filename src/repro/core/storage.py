@@ -61,7 +61,6 @@ span per run (``spill_runs`` / ``bytes_spilled`` counters) and one
 from __future__ import annotations
 
 import dataclasses
-import functools
 import heapq
 import os
 import shutil
@@ -212,14 +211,13 @@ class PairStore:
     Attributes are parallel array-likes: ``sims``/``us``/``vs`` (K1,
     sorted non-increasing by similarity, ties by ``(u, v)``),
     ``offsets`` (K1 + 1 CSR row starts into the wedge stream), and
-    ``c1``/``c2`` (K2 edge indices into array ``C``).  ``streaming``
-    stores bound their resident set; consumers honour it by reading
-    through :meth:`window` / :meth:`pair_block_end` instead of slicing
-    whole chunks.
+    ``c1``/``c2`` (K2 edge indices into array ``C``).  Consumers read
+    the wedge stream through :meth:`window_ranges` / :meth:`window`,
+    which bound the resident set of out-of-core stores, instead of
+    slicing whole chunks.
     """
 
     kind: str = "memory"
-    streaming: bool = False
 
     k1: int
     k2: int
@@ -246,10 +244,6 @@ class PairStore:
         """Split ``[w0, w1)`` into store-bounded sub-windows."""
         raise NotImplementedError
 
-    def pair_block_end(self, start: int, stop: int) -> int:
-        """Largest ``end`` in ``(start, stop]`` whose wedges fit one window."""
-        raise NotImplementedError
-
     def file_spec(self) -> Optional[PairFileSpec]:
         """The backing file for worker-side mapping (None if memory-only)."""
         return None
@@ -259,16 +253,9 @@ class PairStore:
 
 
 class InMemoryPairStore(PairStore):
-    """The oracle: sorted columns + wedge stream as plain arrays.
-
-    Also provides the Python-list views the chained serial engine's inner
-    loop runs over (list indexing beats ndarray scalar indexing there),
-    built on first use: the batch and sharded engines read only the
-    arrays, so they never pay for K2-sized lists.
-    """
+    """The oracle: sorted columns + wedge stream as plain arrays."""
 
     kind = "memory"
-    streaming = False
 
     def __init__(
         self,
@@ -288,22 +275,6 @@ class InMemoryPairStore(PairStore):
         self.c1 = c1
         self.c2 = c2
         tracer.gauge("store_bytes", self.store_bytes)
-
-    @functools.cached_property
-    def c1_list(self) -> List[int]:
-        return self.c1.tolist()
-
-    @functools.cached_property
-    def c2_list(self) -> List[int]:
-        return self.c2.tolist()
-
-    @functools.cached_property
-    def offsets_list(self) -> List[int]:
-        return self.offsets.tolist()
-
-    @functools.cached_property
-    def sims_list(self) -> List[float]:
-        return self.sims.tolist()
 
     @classmethod
     def build(
@@ -336,9 +307,6 @@ class InMemoryPairStore(PairStore):
     def window_ranges(self, w0: int, w1: int) -> Iterator[Tuple[int, int]]:
         if w1 > w0:
             yield w0, w1
-
-    def pair_block_end(self, start: int, stop: int) -> int:
-        return stop
 
 
 class _RunFile:
@@ -625,7 +593,6 @@ class MmapPairStore(PairStore):
     """The out-of-core store (see module docstring for layout/merge)."""
 
     kind = "mmap"
-    streaming = True
 
     def __init__(
         self,
@@ -1048,17 +1015,6 @@ class MmapPairStore(PairStore):
         while pos < w1:
             yield pos, min(w1, pos + step)
             pos = min(w1, pos + step)
-
-    def pair_block_end(self, start: int, stop: int) -> int:
-        """Largest pair index whose wedge window stays within one window.
-
-        Same searchsorted shape as the chunk-boundary computation: the
-        first pair is always taken (vertex pairs are atomic), further
-        pairs join while the accumulated wedge count fits the window.
-        """
-        budget = int(self.offsets[start]) + self.window_elems
-        j = int(np.searchsorted(self.offsets, budget, side="left"))
-        return min(stop, max(start + 1, j - 1))
 
     def file_spec(self) -> Optional[PairFileSpec]:
         return self.spec

@@ -15,7 +15,7 @@ it, default is identity.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -48,6 +48,18 @@ def build_edge_index(
             "edge_order must be a permutation of 0..num_edges-1"
         )
     return list(edge_order)
+
+
+def merge_pair_positions(
+    merges: Sequence[Tuple[int, int, int, int]], offsets: np.ndarray, base: int = 0
+) -> np.ndarray:
+    """Position in list ``L`` of each merge's vertex pair.
+
+    ``merges`` are :meth:`ChainArray.merge_run` records, whose wedge
+    index plus ``base`` falls in its pair's ``offsets`` row.
+    """
+    wedges = np.fromiter((m[0] for m in merges), np.int64, len(merges))
+    return np.searchsorted(offsets, wedges + base, side="right") - 1
 
 
 @dataclass
@@ -122,8 +134,8 @@ def sweep(
         outside the merge loop, so it costs nothing per pair.
     cancel:
         Optional :class:`~repro.core.cancel.CancelToken`; checked at
-        every vertex pair (dict path) / every ``CHECK_INTERVAL`` wedges
-        (columnar path) and raises
+        every vertex pair (dict path) / between kernel windows of
+        ``CHECK_INTERVAL`` wedges (columnar path) and raises
         :class:`~repro.errors.RunCancelledError` when triggered.
 
     Returns
@@ -184,8 +196,10 @@ def _columnar_sweep(
     """Algorithm 2 over columnar input: same merges, vectorized setup.
 
     The sort is one lexsort, the K2 wedge stream comes out as flat edge
-    arrays (no per-wedge ``graph.edge_id`` dict lookups); only the
-    inherently sequential MERGE loop stays in Python.
+    arrays (no per-wedge ``graph.edge_id`` dict lookups), and MERGE runs
+    one :meth:`ChainArray.merge_run` kernel call per ``CHECK_INTERVAL``
+    window of wedges, with the cancel checkpoint between windows.  Only
+    genuine merges look up their pair's similarity.
     """
     with tracer.span("phase:sort", k1=columns.k1):
         columns = columns.sort_pairs()
@@ -196,26 +210,22 @@ def _columnar_sweep(
 
     e1, e2 = wedge_edge_arrays(graph, columns)
     index_arr = np.asarray(index, dtype=np.int64)
-    c1_list = index_arr[e1].tolist() if len(e1) else []
-    c2_list = index_arr[e2].tolist() if len(e2) else []
-    sims_list = np.repeat(columns.sim, columns.pair_counts()).tolist()
+    c1 = index_arr[e1]
+    c2 = index_arr[e2]
 
-    r = 0
-    pos = 0
+    merges: List[Tuple[int, int, int, int]] = []
     with tracer.span("phase:sweep"):
-        for i1, i2, similarity in zip(c1_list, c2_list, sims_list):
-            if cancel is not None and not pos % CHECK_INTERVAL:
+        for start in range(0, columns.k2, CHECK_INTERVAL):
+            if cancel is not None:
                 cancel.raise_if_cancelled()
-            pos += 1
-            before = chain.changes
-            outcome = chain.merge(i1, i2)
-            if per_merge is not None:
-                per_merge.append(chain.changes - before)
-            if outcome.merged:
-                r += 1
-                builder.record(
-                    r, outcome.c1, outcome.c2, outcome.parent, similarity
-                )
+            stop = min(columns.k2, start + CHECK_INTERVAL)
+            merges += chain.merge_run(c1, c2, start, stop, per_merge)
+        pairs = merge_pair_positions(merges, columns.common_offsets)
+        for r, (m, similarity) in enumerate(
+            zip(merges, columns.sim[pairs].tolist()), 1
+        ):
+            builder.record(r, m[1], m[2], m[3], similarity)
+    r = len(merges)
     tracer.count("merges", r)
 
     return SweepResult(

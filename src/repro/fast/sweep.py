@@ -14,8 +14,10 @@ columnar Phase-I output:
    witness to its two edge ids (vectorized binary search).
 
 Only the chain-array MERGE loop itself remains Python — it is inherently
-sequential.  The result is equivalent to :func:`repro.core.sweep.sweep`
-(same deterministic order, identical dendrograms).
+sequential — and it runs as one :meth:`ChainArray.merge_run` kernel call
+per window of wedges, with the chain walks inlined.  The result is
+equivalent to :func:`repro.core.sweep.sweep` (same deterministic order,
+identical dendrograms).
 """
 
 from __future__ import annotations

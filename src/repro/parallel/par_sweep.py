@@ -14,7 +14,8 @@ Both steps run on a persistent :class:`~repro.parallel.runtime.SweepRuntime`
 chunk and epoch, exactly as the paper's pthreads outlive the run.
 
 The sweep reaches the runtime through one transport.  A dict similarity
-map converts to columns at sweep entry, so every run has a pair store:
+map converts to columns at sweep entry (with no map, Phase I runs
+columnar in the first place), so every run has a pair store:
 its edge-index columns are loaded into the runtime once, and each chunk
 is dispatched as a ``[start, stop)`` window of them.
 
@@ -43,9 +44,10 @@ from repro.core.coarse import (
     _CoarseSweeper,
 )
 from repro.core.simcolumns import SimilarityColumns
-from repro.core.similarity import SimilarityMap, compute_similarity_map
+from repro.core.similarity import SimilarityMap
 from repro.core.storage import StorageSettings
 from repro.errors import ParameterError
+from repro.fast.similarity import fast_similarity_columns
 from repro.graph.graph import Graph
 from repro.parallel.pool import ExecutionBackend
 from repro.parallel.runtime import SweepRuntime, get_sweep_runtime
@@ -150,7 +152,8 @@ def parallel_coarse_sweep(
     :mod:`repro.parallel.sharded_sweep`) with host-side boundary
     reconciliation per level.  Every engine runs on the columnar pair
     pipeline: a dict ``similarity_map`` is converted up front (same
-    list-L order, so the same chunks and levels).
+    list-L order, so the same chunks and levels), and a missing one is
+    computed by :func:`repro.fast.similarity.fast_similarity_columns`.
     ``epsilon > 0`` (sharded only) defers boundary reconciliation
     across levels while local merge deltas stay within ``(1 + epsilon)``
     of the reconciled count; the final partition is unchanged.
@@ -174,7 +177,10 @@ def parallel_coarse_sweep(
     """
     if num_workers < 1:
         raise ParameterError(f"num_workers must be >= 1, got {num_workers}")
-    sim = similarity_map if similarity_map is not None else compute_similarity_map(graph)
+    # Every parallel sweep consumes columns, so Phase I runs columnar.
+    sim = similarity_map
+    if sim is None:
+        sim = fast_similarity_columns(graph)
     caller_owned = isinstance(backend, SweepRuntime)
     runtime = get_sweep_runtime(backend, num_workers)
     sweeper = _ParallelCoarseSweeper(

@@ -254,8 +254,7 @@ def _merge_arrays_worker(
     chain: ChainArray, i1: np.ndarray, i2: np.ndarray
 ) -> ChainArray:
     """Run MERGE over parallel index arrays on a private copy of ``C``."""
-    for a, b in zip(i1.tolist(), i2.tolist()):
-        chain.merge(a, b)
+    chain.merge_run(i1, i2, 0, len(i1))
     return chain
 
 

@@ -199,8 +199,7 @@ def _worker(
                         matrix[row, :] = batch_components(row_view, i1, i2)
                     else:
                         chain = NumpyChainArray(n, buffer=row_view, initialized=True)
-                        for a, b in zip(i1.tolist(), i2.tolist()):
-                            chain.merge(a, b)
+                        chain.merge_run(i1, i2, 0, len(i1))
                 elif kind == "shard_local":
                     _, name, capacity, seg_start, seg_stop, lo, hi = task
                     if edges_name != name:
@@ -557,10 +556,7 @@ class ShmArena:
             host_i1, host_i2 = self._pairs_host
             t0 = time.perf_counter()
             chain = NumpyChainArray(self.n, buffer=base_arr.copy(), initialized=True)
-            for i1, i2 in zip(
-                host_i1[start:stop].tolist(), host_i2[start:stop].tolist()
-            ):
-                chain.merge(i1, i2)
+            chain.merge_run(host_i1, host_i2, start, stop)
             self.compute_time += time.perf_counter() - t0
             return chain.raw().tolist()
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.cluster.dendrogram import Dendrogram, DendrogramBuilder, Merge
@@ -25,6 +26,35 @@ class TestMergeRecord:
     def test_valid(self):
         m = Merge(1, 2, 5, 2, 0.5)
         assert m.parent == 2
+
+    def test_immutable_and_equal_by_fields(self):
+        m = Merge(1, 2, 5, 2, 0.5)
+        with pytest.raises(AttributeError):
+            m.parent = 5  # type: ignore[misc]
+        assert m == Merge(1, 2, 5, 2, 0.5)
+        assert m != Merge(1, 2, 5, 2, None)
+        assert hash(m) == hash(Merge(1, 2, 5, 2, 0.5))
+
+    def test_builder_records_equal_direct_construction(self):
+        b = DendrogramBuilder(6)
+        b.record(1, 3, 2, 2, similarity=0.5)
+        b.record_merges(2, np.array([0, 1]), np.array([4, 5]))
+        assert b.build().merges == (
+            Merge(1, 3, 2, 2, 0.5),
+            Merge(2, 0, 4, 0),
+            Merge(2, 1, 5, 1),
+        )
+        assert all(type(m) is Merge for m in b.build().merges)
+
+    def test_builder_checks_parent(self):
+        b = DendrogramBuilder(6)
+        with pytest.raises(ClusteringError):
+            b.record(1, 2, 3, 3)
+        with pytest.raises(ClusteringError):
+            b.record_merges(1, np.array([0, 4]), np.array([1, 3]))
+        with pytest.raises(ClusteringError):
+            b.record_merges(1, np.array([0, 1]), np.array([2]))
+        assert b.num_merges == 0
 
 
 class TestDendrogram:

@@ -12,6 +12,7 @@ from repro.core.linkclust import LinkClustering
 from repro.core.similarity import compute_similarity_map
 from repro.core.sweep import sweep
 from repro.errors import RunCancelledError
+from repro.fast.similarity import fast_similarity_columns
 from repro.graph import generators
 from repro.obs import MemorySink, Tracer
 from repro.obs.sinks import Sink
@@ -57,8 +58,8 @@ class TestCancelToken:
         assert seen.is_set() and token.cancelled()
 
     def test_check_interval_is_sane(self):
-        # The columnar sweep checks every CHECK_INTERVAL wedges; keep it
-        # a power of two so the modulo stays cheap.
+        # The columnar sweep checks between kernel windows of
+        # CHECK_INTERVAL wedges.
         assert CHECK_INTERVAL > 0 and CHECK_INTERVAL & (CHECK_INTERVAL - 1) == 0
 
 
@@ -74,6 +75,21 @@ class _CancelAfterRecords(Sink):
         self.count += 1
         if self.count >= self.limit:
             self.token.cancel("enough records")
+
+
+class _TripOnCheck(CancelToken):
+    """Cancels itself at its ``at``-th checkpoint."""
+
+    def __init__(self, at: int):
+        super().__init__()
+        self.at = at
+        self.checks = 0
+
+    def raise_if_cancelled(self) -> None:
+        self.checks += 1
+        if self.checks == self.at:
+            self.cancel("mid-sweep")
+        super().raise_if_cancelled()
 
 
 class TestSweepCancellation:
@@ -107,6 +123,17 @@ class TestSweepCancellation:
         assert len(memory.records) >= 3
         names = memory.span_names()
         assert any(name.startswith("sweep:chunk") for name in names)
+
+    def test_columnar_fine_sweep_stops_between_windows(self):
+        # K2 spans several kernel windows; the token trips at the second
+        # checkpoint, so the sweep must stop there, mid-run.
+        big = generators.caveman_graph(4, 20)
+        columns = fast_similarity_columns(big)
+        assert columns.k2 > 2 * CHECK_INTERVAL
+        token = _TripOnCheck(2)
+        with pytest.raises(RunCancelledError, match="mid-sweep"):
+            sweep(big, columns, cancel=token)
+        assert token.checks == 2
 
     def test_uncancelled_token_changes_nothing(self, graph):
         sim = compute_similarity_map(graph)

@@ -263,24 +263,6 @@ class TestWindows:
         finally:
             store.close()
 
-    def test_pair_block_end_matches_reference_loop(self, tmp_path):
-        store, _ = self._spilled_store(tmp_path)
-        try:
-            offsets = np.asarray(store.offsets)
-            for start in range(store.k1):
-                end = store.pair_block_end(start, store.k1)
-                # Reference: take pairs while their wedges fit a window
-                # (the first pair is always taken).
-                ref = start + 1
-                while (
-                    ref < store.k1
-                    and offsets[ref + 1] - offsets[start] <= store.window_elems
-                ):
-                    ref += 1
-                assert end == ref
-        finally:
-            store.close()
-
 
 class TestCleanup:
     def test_close_removes_spill_dir(self, tmp_path):

@@ -11,6 +11,7 @@ from repro.core.coarse import CoarseParams, coarse_sweep
 from repro.core.similarity import compute_similarity_map
 from repro.core.sweep import sweep
 from repro.errors import ParameterError
+from repro.fast.similarity import fast_similarity_columns
 from repro.graph import generators
 from repro.parallel.par_sweep import parallel_coarse_sweep
 
@@ -92,6 +93,35 @@ class TestParallelCoarseSweep:
             backend="thread",
         )
         assert same_partition(fine.edge_labels(), parallel.edge_labels())
+
+    def test_no_map_builds_columns_directly(self, planted, monkeypatch):
+        """Without a similarity map, Phase I runs columnar: the dict
+        Phase I is never called, and the result is the one an explicit
+        ``fast_similarity_columns`` map gives."""
+        import repro.core.similarity as core_similarity
+
+        params = CoarseParams(phi=2, delta0=10)
+        explicit = parallel_coarse_sweep(
+            planted,
+            fast_similarity_columns(planted),
+            params,
+            num_workers=2,
+            backend="thread",
+        )
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("dict Phase I called")
+
+        monkeypatch.setattr(core_similarity, "compute_similarity_map", refuse)
+        # Also any name the driver module may have imported it under.
+        monkeypatch.setattr(
+            "repro.parallel.par_sweep.compute_similarity_map", refuse, raising=False
+        )
+        implicit = parallel_coarse_sweep(
+            planted, None, params, num_workers=2, backend="thread"
+        )
+        assert implicit.dendrogram.merges == explicit.dendrogram.merges
+        assert implicit.epochs == explicit.epochs
 
 
 class TestBatchEngineParallel:
