@@ -74,7 +74,8 @@ def test_batch_sweep(benchmark, results_dir, preset):
     work = fig5_workload(top_alpha, preset)
     graph, cols, params = work.graph, work.cols, work.params
     oracle = coarse_sweep(graph, cols, params=params)
-    for backend in ("thread", "shm"):
+    # The chained engine runs on the thread and process backends only.
+    for backend in ("thread", "process"):
         result, t_chained = time_call(
             parallel_coarse_sweep,
             graph,

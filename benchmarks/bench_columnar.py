@@ -1,4 +1,4 @@
-"""Dict vs columnar similarity pipeline (the PR's headline claim).
+"""Dict vs columnar similarity pipeline.
 
 Three sections, all written into ``benchmarks/results/columnar.json``:
 
@@ -8,10 +8,10 @@ Three sections, all written into ``benchmarks/results/columnar.json``:
   ``sorted_pairs``), asserting the columnar side wins by at least 3x on
   the largest graph (skipped at tiny scale, where fixed array setup
   costs dominate).
-- **shm zero-copy**: a columnar coarse sweep through the shm runtime
-  publishes the sorted pair columns to shared memory once and dispatches
-  bare index ranges — the arena counters prove no per-chunk pair data
-  crossed the task queue.
+- **shm zero-copy**: a columnar batch-engine coarse sweep through the
+  shm runtime publishes the sorted pair columns to shared memory once
+  and dispatches bare index ranges — the arena counters prove no
+  per-chunk pair data crossed the task queue.
 - **auto dispatch**: graphs below ``AUTO_COLUMNAR_MIN_K2`` resolve to
   the dict path, so ``pairs_format="auto"`` is never slower than
   pure-Python on small inputs.
@@ -78,8 +78,8 @@ def test_columnar_pipeline(benchmark, results_dir, preset):
 
     # -- section 2: shm ships sorted pairs zero-copy --------------------
     shm_table = ResultTable(
-        "Columnar shm transport (coarse sweep, 2 workers)",
-        ["alpha", "k2", "seconds", "range_tasks", "pair_loads"],
+        "Columnar shm transport (batch coarse sweep, 2 workers)",
+        ["alpha", "k2", "seconds", "batch_tasks", "pair_loads"],
     )
     mid_alpha = preset.alphas[len(preset.alphas) // 2]
     work = fig5_workload(mid_alpha, preset, sort=False)
@@ -93,18 +93,19 @@ def test_columnar_pipeline(benchmark, results_dir, preset):
             params=params,
             num_workers=2,
             backend=runtime,
+            engine="batch",
         )
         arena = runtime.arena
         assert arena is not None
         # The whole point: pair columns were published to shared memory
         # exactly once and every chunk crossed the queue as an index range.
         assert arena.pair_loads == 1, arena.pair_loads
-        assert arena.range_tasks > 0
+        assert arena.batch_tasks > 0
         shm_table.add_row(
             alpha=mid_alpha,
             k2=cols.k2,
             seconds=round(stats.mean, 5),
-            range_tasks=arena.range_tasks,
+            batch_tasks=arena.batch_tasks,
             pair_loads=arena.pair_loads,
         )
     assert same_partition(

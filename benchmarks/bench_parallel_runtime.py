@@ -1,4 +1,4 @@
-"""Persistent runtime vs per-chunk spawning (the PR's headline claim).
+"""Persistent runtime vs per-chunk spawning.
 
 The paper starts its pthreads once per run; the pre-runtime reproduction
 paid executor construction (and, for ``shm``, block allocate/unlink plus
@@ -11,10 +11,11 @@ Writes ``benchmarks/results/parallel_runtime.json``.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.bench.parallel_runtime import runtime_spawn_comparison
 from repro.bench.runner import save_json
 from repro.bench.workloads import DEFAULT_CHUNK_WORKLOAD, make_chunk_workload
-from repro.cluster.unionfind import ChainArray
 from repro.parallel.runtime import get_sweep_runtime
 
 _WORKLOAD = DEFAULT_CHUNK_WORKLOAD
@@ -48,9 +49,9 @@ def test_persistent_runtime_speedup(benchmark, results_dir):
     def run_persistent():
         with get_sweep_runtime("process", 2) as runtime:
             runtime.load_pairs(i1, i2)
-            chain = ChainArray(_WORKLOAD["n"])
+            labels = np.arange(_WORKLOAD["n"], dtype=np.int64)
             for lo in range(0, len(i1), step):
-                chain = runtime.chunk_merge_range(chain, lo, lo + step)
-            return chain
+                labels = runtime.chunk_batch_range(labels, lo, lo + step)
+            return labels
 
     benchmark.pedantic(run_persistent, rounds=1, iterations=1)

@@ -67,10 +67,11 @@ def main() -> None:
     )
 
     # Shared-memory multiprocessing: the GIL-free realization — resident
-    # worker processes MERGE over rows of one shared block; per chunk
-    # only the edge-pair slices cross the process boundary.  Owning the
-    # runtime keeps those workers alive across *both* sweeps below (a
-    # string backend would respawn them per call).
+    # worker processes contract their share of each chunk (batch
+    # engine) over rows of one shared block; the pair columns are
+    # published once and each chunk crosses the process boundary as an
+    # index range.  Owning the runtime keeps those workers alive across
+    # *both* sweeps below (a string backend would respawn them per call).
     # The runtime reports each chunk's cost as runtime:* spans on the
     # sweep's tracer.
     from repro.obs import MemorySink, Tracer
@@ -81,11 +82,11 @@ def main() -> None:
     with get_sweep_runtime("shm", 2) as runtime:
         shm_result = parallel_coarse_sweep(
             graph, serial_sim, params, num_workers=2, backend=runtime,
-            tracer=tracer,
+            tracer=tracer, engine="batch",
         )
         parallel_coarse_sweep(
             graph, serial_sim, params, num_workers=2, backend=runtime,
-            tracer=tracer,
+            tracer=tracer, engine="batch",
         )
 
     def span_ms(name: str) -> float:

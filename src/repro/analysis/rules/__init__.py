@@ -24,13 +24,12 @@ OBS103    Tracer counter/gauge names must be in the vocabulary.
 COR001    No bare ``except:`` and no ``except Exception`` that
           swallows (a broad handler must re-raise).
 API001    No mutable default arguments.
-API002    ``RunConfig``-style constructors take keyword arguments.
 ========  ========================================================
 """
 
 from __future__ import annotations
 
-from repro.analysis.rules.api import MutableDefaultArgRule, PositionalConfigCallRule
+from repro.analysis.rules.api import MutableDefaultArgRule
 from repro.analysis.rules.correctness import BroadExceptRule
 from repro.analysis.rules.det_flow import (
     UnorderedIterationRule,
@@ -57,7 +56,6 @@ __all__ = [
     "ModuleStateInWorkerRule",
     "MutableDefaultArgRule",
     "OverlappingShmWriteRule",
-    "PositionalConfigCallRule",
     "SharedMemoryLifecycleRule",
     "SpanVocabularyRule",
     "UnjoinedWorkerRule",

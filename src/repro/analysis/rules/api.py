@@ -6,14 +6,6 @@ codebase that means shared across worker invocations and across
 clustering runs, which is exactly the hidden cross-run state the
 determinism rules exist to forbid.  Use ``None`` and construct the
 container inside the function.
-
-API002 — no positional ``LinkClustering`` settings.  Everything beyond
-the graph is keyword-only as of the RunConfig redesign (a positional
-``True`` or ``"thread"`` is unreadable and breaks when the signature
-evolves); the same applies to ``.run()``'s ``similarity_map``.  The
-transitional runtime shim was removed after its deprecation window —
-positional use is now a ``TypeError`` at run time; this rule catches
-such call sites statically before they ever execute.
 """
 
 from __future__ import annotations
@@ -26,7 +18,7 @@ from repro.analysis.base import ModuleContext, Rule
 from repro.analysis.finding import Finding
 from repro.analysis.registry import register
 
-__all__ = ["MutableDefaultArgRule", "PositionalConfigCallRule"]
+__all__ = ["MutableDefaultArgRule"]
 
 _MUTABLE_LITERALS = (
     ast.List,
@@ -77,41 +69,3 @@ class MutableDefaultArgRule(Rule):
                         "across calls; default to None and build the "
                         "container inside the function",
                     )
-
-
-def _is_linkclustering_call(node: ast.expr) -> bool:
-    return isinstance(node, ast.Call) and call_tail(node) == "LinkClustering"
-
-
-@register
-class PositionalConfigCallRule(Rule):
-    rule_id = "API002"
-    summary = "LinkClustering settings must be passed by keyword"
-
-    def check(self, ctx: ModuleContext) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            if _is_linkclustering_call(node) and len(node.args) > 1:
-                yield self.finding(
-                    ctx,
-                    node.args[1],
-                    "positional LinkClustering settings were removed "
-                    "(TypeError at run time); pass keyword arguments or "
-                    "config=RunConfig(...)",
-                )
-                continue
-            # LinkClustering(...).run(sim) — positional similarity_map.
-            func = node.func
-            if (
-                isinstance(func, ast.Attribute)
-                and func.attr == "run"
-                and _is_linkclustering_call(func.value)
-                and node.args
-            ):
-                yield self.finding(
-                    ctx,
-                    node.args[0],
-                    "positional similarity_map to run() was removed "
-                    "(TypeError at run time); use run(similarity_map=...)",
-                )

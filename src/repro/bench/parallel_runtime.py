@@ -13,8 +13,11 @@ many-chunk workload is driven twice per backend —
 
 Chunks travel the sweep's own transport: the workload's pair columns
 are loaded into each runtime and every chunk is a ``[start, stop)``
-window of them.  The ``spawn`` / ``copy`` / ``compute`` / ``merge``
-breakdown is the sum of the runtime's ``runtime:*`` tracer spans.
+window of them, applied with the batch engine's
+:meth:`~repro.parallel.runtime.SweepRuntime.chunk_batch_range` (the
+one chunk entry point every backend runs).  The ``spawn`` / ``copy`` /
+``compute`` / ``merge`` breakdown is the sum of the runtime's
+``runtime:*`` tracer spans.
 """
 
 from __future__ import annotations
@@ -26,7 +29,6 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from repro.bench.runner import ResultTable
-from repro.cluster.unionfind import ChainArray
 from repro.errors import ParameterError
 from repro.obs import MemorySink, Tracer
 from repro.parallel.runtime import SweepRuntime, get_sweep_runtime
@@ -71,23 +73,23 @@ def _drive(
         runtime.load_pairs(i1, i2)
         return runtime
 
-    chain = ChainArray(n)
+    labels = np.arange(n, dtype=np.int64)
     start = time.perf_counter()
     if persistent:
         with open_runtime() as runtime:
             for lo, hi in windows:
-                chain = runtime.chunk_merge_range(chain, lo, hi)
+                labels = runtime.chunk_batch_range(labels, lo, hi)
     else:
         for lo, hi in windows:
             with open_runtime() as runtime:
-                chain = runtime.chunk_merge_range(chain, lo, hi)
+                labels = runtime.chunk_batch_range(labels, lo, hi)
     elapsed = time.perf_counter() - start
     parts = {part: 0.0 for part in RUNTIME_PARTS}
     for span in sink.spans:
         part = span.name.removeprefix("runtime:")
         if part in parts:
             parts[part] += span.duration
-    return elapsed, parts, chain.labels()
+    return elapsed, parts, labels.tolist()
 
 
 def runtime_spawn_comparison(

@@ -115,13 +115,6 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
         "batch and sharded require --coarse",
     )
     parser.add_argument(
-        "--epsilon",
-        type=float,
-        default=0.0,
-        help="boundary-reconciliation slack for --engine sharded "
-        "(0.0 = exact per-level reconciliation)",
-    )
-    parser.add_argument(
         "--profile",
         action="store_true",
         help="print a per-span timing summary to stderr when the run ends",
@@ -316,7 +309,6 @@ def _run_config_from_args(args: argparse.Namespace) -> RunConfig:
         coarse=coarse,
         pairs_format=args.pairs_format,
         engine=args.engine,
-        epsilon=args.epsilon,
         storage_dir=args.storage_dir,
         memory_budget_bytes=args.memory_budget_bytes,
         profile=args.profile,

@@ -8,7 +8,6 @@ from repro.cluster.hierarchy import (
     cophenetic_matrix,
     dendrogram_stats,
 )
-from repro.cluster.shm import NumpyChainArray
 from repro.cluster.partition import (
     EdgePartition,
     best_partition,
@@ -41,7 +40,6 @@ __all__ = [
     "EdgePartition",
     "Merge",
     "MergeOutcome",
-    "NumpyChainArray",
     "adjusted_rand_index",
     "best_cut",
     "best_partition",

@@ -151,20 +151,13 @@ def _num_clusters(state: ChainState) -> int:
 
 @dataclass
 class _EpochState:
-    """Snapshot ``Q = (beta, xi, p, C)`` plus pending merges.
-
-    ``deferred`` carries the sharded engine's not-yet-reconciled
-    boundary pairs when ``epsilon > 0`` (``None`` otherwise), so
-    rollback/restore/jump keep the deferred set consistent with the
-    chain it belongs to.
-    """
+    """Snapshot ``Q = (beta, xi, p, C)`` plus pending merges."""
 
     beta: int
     xi: int
     p: int
     chain: ChainState
     pending: List[_PendingMerge]
-    deferred: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
 
 @dataclass(frozen=True)
@@ -255,12 +248,6 @@ class _CoarseSweeper:
     only on the pair counts and the per-level partitions are
     identical, so all engines walk the same epoch sequence and build
     the same dendrogram levels.
-
-    ``epsilon > 0`` (sharded only) defers boundary reconciliation
-    across levels while the local cluster count stays within
-    ``(1 + epsilon)`` of the reconciled count; deferred merges are
-    flushed when the bound breaks, on a state jump, and always before
-    the sweep ends, so the final partition is unchanged.
     """
 
     # True for drivers whose chunks merge on per-worker copies: they
@@ -276,18 +263,11 @@ class _CoarseSweeper:
         tracer=None,
         engine: str = "chained",
         num_shards: Optional[int] = None,
-        epsilon: float = 0.0,
         cancel: Optional[CancelToken] = None,
         storage: Optional[StorageSettings] = None,
     ):
         engine_spec = get_engine(engine)
         self.cancel = cancel
-        if epsilon < 0:
-            raise ParameterError(f"epsilon must be >= 0, got {epsilon}")
-        if epsilon > 0 and not engine_spec.supports_epsilon:
-            raise ParameterError(
-                f"epsilon > 0 requires engine='sharded', got {engine!r}"
-            )
         if num_shards is not None and engine != "sharded":
             raise ParameterError(
                 f"num_shards requires engine='sharded', got {engine!r}"
@@ -306,7 +286,6 @@ class _CoarseSweeper:
             similarity_map = SimilarityColumns.from_similarity_map(similarity_map)
         self.engine = engine
         self.engine_spec = engine_spec
-        self.epsilon = float(epsilon)
         # Chained serial replays saved merge events on a state jump; the
         # batch/sharded engines (and the parallel driver, which overrides
         # this) have no per-merge event stream and diff partitions instead.
@@ -396,10 +375,6 @@ class _CoarseSweeper:
         self.pending_states: List[ChainState] = []
         self.epochs: List[EpochRecord] = []
         self.rollback_list: List[_EpochState] = []
-        # Deferred boundary pairs (sharded engine with epsilon > 0):
-        # unique (lo, hi) root pairs whose reconciliation is postponed.
-        self._deferred_a = np.empty(0, dtype=np.int64)
-        self._deferred_b = np.empty(0, dtype=np.int64)
 
         self.beta = self.num_edges
         self.xi = 0
@@ -426,7 +401,6 @@ class _CoarseSweeper:
             p=self.p,
             chain=self.chain.copy(),
             pending=[],
-            deferred=self._deferred_copy(),
         )
 
     def _restore(self, state: _EpochState) -> None:
@@ -436,84 +410,7 @@ class _CoarseSweeper:
         self.chain = state.chain.copy()
         self.pending = []
         self.pending_states = []
-        if state.deferred is None:
-            self._deferred_a = np.empty(0, dtype=np.int64)
-            self._deferred_b = np.empty(0, dtype=np.int64)
-        else:
-            self._deferred_a = state.deferred[0].copy()
-            self._deferred_b = state.deferred[1].copy()
         self.epoch_start_xi = self.xi
-
-    # ------------------------------------------------------------------
-    # deferred boundary reconciliation (sharded engine, epsilon > 0)
-    # ------------------------------------------------------------------
-    def _deferred_copy(self) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-        if self._deferred_a.size == 0:
-            return None
-        return self._deferred_a.copy(), self._deferred_b.copy()
-
-    def _push_deferred(self, pairs: Tuple[np.ndarray, np.ndarray]) -> None:
-        da, db = pairs
-        if da.size == 0:
-            return
-        self._deferred_a = np.concatenate([self._deferred_a, da])
-        self._deferred_b = np.concatenate([self._deferred_b, db])
-
-    def _clear_deferred(self) -> None:
-        self._deferred_a = np.empty(0, dtype=np.int64)
-        self._deferred_b = np.empty(0, dtype=np.int64)
-
-    def _maybe_flush_deferred(self) -> None:
-        """At an epoch boundary: flush deferred boundary merges when due.
-
-        Deferred pairs are first re-rooted through the current chain and
-        pruned of dead ones.  A flush happens when the local cluster
-        count exceeds ``(1 + epsilon)`` times the reconciled count the
-        live deferred merges would produce, or when the pair list is
-        exhausted (the final level must be exact).  Flushed merges join
-        ``pending``, so they commit — or roll back — with the epoch
-        they flushed into.
-        """
-        if self._deferred_a.size == 0:
-            return
-        from repro.fast.batch_sweep import batch_components
-
-        lab = _as_labels(self.chain)
-        da = lab[self._deferred_a]
-        db = lab[self._deferred_b]
-        live = da != db
-        if not live.any():
-            self._clear_deferred()
-            return
-        self._deferred_a = da[live]
-        self._deferred_b = db[live]
-        d = int(live.sum())
-        beta_local = _num_clusters(lab)
-        # d live pairs merge at most d cluster pairs; beta_local - d
-        # lower-bounds the reconciled count.
-        within = beta_local <= (1.0 + self.epsilon) * max(1, beta_local - d)
-        if within and self.p < self.num_pairs:
-            return
-        self._advance(batch_components(lab, self._deferred_a, self._deferred_b))
-        self._clear_deferred()
-
-    def _flush_deferred_tail(self) -> None:
-        """Flush remaining deferred merges as one extra level at a stop.
-
-        The epoch loop can stop (C3) with merges still deferred; they
-        must land in the dendrogram before the sweep returns.  Recorded
-        as their own level — with ``finalize_root`` they would be
-        subsumed by the root merge anyway, but the final chain must be
-        exact either way.
-        """
-        if self._deferred_a.size == 0:
-            return
-        from repro.fast.batch_sweep import batch_components
-
-        lab = _as_labels(self.chain)
-        self._append_level(batch_components(lab, self._deferred_a, self._deferred_b))
-        self.beta = _num_clusters(self.chain)
-        self._clear_deferred()
 
     # ------------------------------------------------------------------
     # level records of the diff-recorded drivers
@@ -570,7 +467,6 @@ class _CoarseSweeper:
                 ):
                     chunk = self._collect_chunk()
                     self._apply_chunk(chunk)
-                    self._maybe_flush_deferred()
                     # Level bookkeeping: cluster count, level records,
                     # snapshot, commit or rollback, state jump.
                     with tracer.span("sweep:transition"):
@@ -724,9 +620,7 @@ class _CoarseSweeper:
         Same level records as :meth:`_apply_chunk_batch` (partition
         diff), but the contraction runs shard-by-shard over identity
         labels of each owned slice with a host reconciliation of the
-        deduplicated boundary pairs — exact unless ``epsilon > 0``, in
-        which case the boundary pairs are pushed onto the deferred set
-        instead of applied.
+        deduplicated boundary pairs.
         """
         from repro.parallel.sharded_sweep import sharded_components
 
@@ -739,23 +633,15 @@ class _CoarseSweeper:
         if w_start == w_end:
             return
         assert self.shard_part is not None
-        # Window-at-a-time is exact here too: wedge ownership is static
-        # (by edge slot), so the set of locally-applied vs deferred
-        # boundary merges does not depend on how the window is split,
-        # and deferred pairs are re-rooted at flush time anyway.
+        # Window-at-a-time is exact here too: every window's level is
+        # fully reconciled, and union merges are order-independent.
         base = _as_labels(self.chain)
         with self.tracer.span("runtime:compute", workers=1):
             for s, e in store.window_ranges(w_start, w_end):
                 c1w, c2w = store.window(s, e)
-                base, deferred, _stats = sharded_components(
-                    base,
-                    c1w,
-                    c2w,
-                    self.shard_part,
-                    tracer=self.tracer,
-                    defer_boundary=self.epsilon > 0,
+                base, _stats = sharded_components(
+                    base, c1w, c2w, self.shard_part, tracer=self.tracer
                 )
-                self._push_deferred(deferred)
         self._advance(base)
 
     # ------------------------------------------------------------------
@@ -787,13 +673,11 @@ class _CoarseSweeper:
 
         if preds.c3 and beta_new <= self.num_edges / 2.0:
             self.stopped_by_phi = True
-            self._flush_deferred_tail()
             return True
 
         if self._try_jump():
             if self.beta <= params.phi:
                 self.stopped_by_phi = True
-                self._flush_deferred_tail()
                 return True
 
         self._estimate_next_chunk()
@@ -809,7 +693,6 @@ class _CoarseSweeper:
                 p=self.p,
                 chain=self.chain.copy(),
                 pending=list(self.pending),
-                deferred=self._deferred_copy(),
             )
         )
         self.epochs.append(
@@ -898,22 +781,6 @@ class _CoarseSweeper:
         them.
         """
         if self.records_by_diff:
-            # A jump adopts the target state wholesale, so its deferred
-            # boundary merges (epsilon > 0) must be applied first: the
-            # diff below is only well-defined when the target partition
-            # coarsens the current one, and the current chain may already
-            # contain merges the target still defers.  (The current
-            # state's own deferred pairs all sit at earlier positions
-            # than the target's, so the flushed target subsumes them.)
-            if target.deferred is not None:
-                from repro.fast.batch_sweep import batch_components
-
-                target.chain = batch_components(
-                    _as_labels(target.chain), *target.deferred
-                )
-                target.beta = _num_clusters(target.chain)
-                target.deferred = None
-            self._clear_deferred()
             self._record_diffs([self.chain, target.chain])
             return
         current_pos = self.p
@@ -1029,7 +896,6 @@ def coarse_sweep(
     tracer=None,
     engine: str = "chained",
     num_shards: Optional[int] = None,
-    epsilon: float = 0.0,
     cancel: Optional[CancelToken] = None,
     storage: Optional[StorageSettings] = None,
 ) -> CoarseResult:
@@ -1044,8 +910,7 @@ def coarse_sweep(
     (per-level vectorized connected components), or ``"sharded"``
     (owner-computes contiguous C shards — ``num_shards`` of them,
     default ``DEFAULT_SERIAL_SHARDS`` — with host boundary
-    reconciliation; ``epsilon > 0`` defers reconciliation within a
-    ``(1 + epsilon)`` cluster-count bound); dict input is converted to
+    reconciliation); dict input is converted to
     columns for both alternates.  ``tracer`` gets ``phase:sort``,
     ``phase:sweep``, and per-epoch ``sweep:chunk[i]`` spans (the batch
     engine adds per-round ``sweep:batch_round`` spans and a
@@ -1078,7 +943,6 @@ def coarse_sweep(
         tracer,
         engine=engine,
         num_shards=num_shards,
-        epsilon=epsilon,
         cancel=cancel,
         storage=storage,
     )

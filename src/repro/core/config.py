@@ -98,16 +98,9 @@ class RunConfig:
         alternates are dendrogram-identical to chained and require a
         coarse sweep plus the columnar pair format
         (``pairs_format="dict"`` is rejected; ``"auto"`` resolves to
-        columnar).
-    epsilon:
-        Boundary-reconciliation slack for the sharded engine (TeraHAC-
-        style).  ``0.0`` (default) reconciles every level exactly;
-        ``epsilon > 0`` lets the sweep defer cross-shard merges while
-        the local cluster count stays within ``(1 + epsilon)`` of the
-        reconciled count.  The final partition is unchanged (deferred
-        merges are always flushed before the sweep ends); intermediate
-        levels may split merges differently.  Requires
-        ``engine="sharded"``.
+        columnar).  A coarse chained sweep does not run on
+        ``backend="shm"``: the shared-memory arena runs only the batch
+        and sharded engines (the registry's ``BackendSpec.engines``).
     storage_dir:
         Root directory for the out-of-core store's run-scoped spill
         directory (``pairs_format="mmap"`` only; system temp dir when
@@ -134,7 +127,6 @@ class RunConfig:
     vectorized: bool = False
     pairs_format: str = "auto"
     engine: str = "chained"
-    epsilon: float = 0.0
     storage_dir: Optional[str] = None
     memory_budget_bytes: Optional[int] = None
     profile: bool = False
@@ -153,13 +145,6 @@ class RunConfig:
             )
         if self.seed is not None and not isinstance(self.seed, int):
             raise ParameterError(f"seed must be None or an int, got {self.seed!r}")
-        if not isinstance(self.epsilon, (int, float)) or isinstance(
-            self.epsilon, bool
-        ):
-            raise ParameterError(
-                f"epsilon must be a float >= 0, got {self.epsilon!r}"
-            )
-        object.__setattr__(self, "epsilon", float(self.epsilon))
         object.__setattr__(self, "vectorized", bool(self.vectorized))
         object.__setattr__(self, "profile", bool(self.profile))
         if self.storage_dir is not None:
@@ -183,7 +168,6 @@ class RunConfig:
             engine=self.engine,
             pairs_format=self.pairs_format,
             coarse=self.coarse is not None,
-            epsilon=self.epsilon,
             num_workers=self.num_workers,
             storage_dir=self.storage_dir,
             memory_budget_bytes=self.memory_budget_bytes,
@@ -202,7 +186,6 @@ class RunConfig:
             "vectorized": self.vectorized,
             "pairs_format": self.pairs_format,
             "engine": self.engine,
-            "epsilon": self.epsilon,
             "storage_dir": self.storage_dir,
             "memory_budget_bytes": self.memory_budget_bytes,
             "profile": self.profile,

@@ -253,7 +253,7 @@ class LinkClustering:
     The individual settings below are accepted as **keyword-only**
     arguments and folded into a ``RunConfig`` internally; the
     pre-RunConfig positional spelling was removed after its two-release
-    deprecation window (analysis rule API002 still flags call sites).
+    deprecation window (positional settings raise ``TypeError``).
     ``config=`` and individual settings are mutually exclusive.
 
     Parameters
@@ -271,7 +271,9 @@ class LinkClustering:
         ``"shm"`` — the latter three parallelize the coarse sweep per
         Section VI; ``thread``/``process`` also parallelize Phase I
         (``shm`` applies to the sweep and falls back to the process
-        backend for Phase I).
+        backend for Phase I).  A coarse ``shm`` run needs the batch or
+        sharded engine (``config=RunConfig(engine=...)``); the chained
+        engine runs on the other three.
     num_workers:
         Worker count for parallel backends (ignored for serial).
     seed:
@@ -569,7 +571,6 @@ class LinkClustering:
                 backend=self.runtime if self.runtime is not None else self.backend,
                 tracer=tracer,
                 engine=self.config.engine,
-                epsilon=self.config.epsilon,
                 cancel=self.cancel,
                 storage=storage,
             )
@@ -581,7 +582,6 @@ class LinkClustering:
                 edge_order=edge_order,
                 tracer=tracer,
                 engine=self.config.engine,
-                epsilon=self.config.epsilon,
                 cancel=self.cancel,
                 storage=storage,
             )

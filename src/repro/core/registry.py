@@ -12,8 +12,9 @@ reads the same table.
 New execution modes (a duckdb engine, a gpu backend) slot in through
 :func:`register_engine` / :func:`register_backend` without touching
 ``LinkClustering``: the spec declares what the mode needs (coarse
-sweeping, the columnar pair stream, epsilon support) and how to build
-its runtime, and validation/dispatch pick it up everywhere at once.
+sweeping, the columnar pair stream, the backends that run it) and how
+to build its runtime, and validation/dispatch pick it up everywhere at
+once.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ __all__ = [
     "register_backend",
     "register_pair_format",
     "validate_run_settings",
+    "require_backend_engine",
     "make_runtime",
 ]
 
@@ -54,8 +56,7 @@ class EngineSpec:
     ``requires_coarse`` — the engine only exists as a chunked (coarse)
     sweep; ``accepts_dict_pairs`` — whether the pure-Python dict
     pipeline can feed it (engines that consume the flat columnar wedge
-    stream set this False); ``supports_epsilon`` — whether the
-    TeraHAC-style reconciliation slack applies; ``chunk_applier`` — the
+    stream set this False); ``chunk_applier`` — the
     name of the ``_CoarseSweeper`` method that applies one chunk's merge
     stream (``None`` means the default chained MERGE path).
     """
@@ -64,7 +65,6 @@ class EngineSpec:
     summary: str
     requires_coarse: bool = False
     accepts_dict_pairs: bool = True
-    supports_epsilon: bool = False
     chunk_applier: Optional[str] = None
 
 
@@ -73,6 +73,7 @@ class BackendSpec:
     """One execution backend and its runtime factory.
 
     ``parallel`` — whether ``num_workers > 1`` buys anything;
+    ``engines`` — the coarse sweep engines the backend's runtime runs;
     ``runtime_factory`` — builds the :class:`SweepRuntime` for a worker
     count (imports lazily so the registry stays import-cycle-free).
     """
@@ -80,6 +81,7 @@ class BackendSpec:
     name: str
     summary: str
     parallel: bool = True
+    engines: Tuple[str, ...] = ("chained", "batch", "sharded")
     runtime_factory: Optional[Callable[[int], "SweepRuntime"]] = field(
         default=None, repr=False
     )
@@ -209,7 +211,6 @@ register_engine(
         summary="owner-computes C shards with host boundary reconciliation",
         requires_coarse=True,
         accepts_dict_pairs=False,
-        supports_epsilon=True,
         chunk_applier="_apply_chunk_sharded",
     )
 )
@@ -240,6 +241,7 @@ register_backend(
     BackendSpec(
         name="shm",
         summary="resident shared-memory arena workers",
+        engines=("batch", "sharded"),
         runtime_factory=_shm_runtime,
     )
 )
@@ -281,7 +283,6 @@ def validate_run_settings(
     engine: str,
     pairs_format: str,
     coarse: bool,
-    epsilon: float,
     num_workers: int,
     storage_dir: Optional[str] = None,
     memory_budget_bytes: Optional[int] = None,
@@ -298,6 +299,8 @@ def validate_run_settings(
     """
     get_backend(backend)
     engine_spec = get_engine(engine)
+    if coarse:
+        require_backend_engine(backend, engine)
     format_spec = get_pair_format(pairs_format)
     if format_spec.requires_coarse and not coarse:
         raise ParameterError(
@@ -342,15 +345,21 @@ def validate_run_settings(
             "format; pairs_format='dict' is not supported "
             f"(use one of {formats})"
         )
-    if epsilon < 0:
-        raise ParameterError(f"epsilon must be >= 0, got {epsilon!r}")
-    if epsilon > 0 and not engine_spec.supports_epsilon:
-        capable = tuple(
-            s.name for s in _ENGINES.values() if s.supports_epsilon
-        )
+
+
+def require_backend_engine(backend: str, engine: str) -> None:
+    """Raise :class:`ParameterError` unless ``backend`` runs ``engine``.
+
+    Shared by :func:`validate_run_settings` and
+    :func:`repro.parallel.par_sweep.parallel_coarse_sweep`, which checks
+    a caller-owned runtime by its backend name.
+    """
+    get_engine(engine)
+    engines = get_backend(backend).engines
+    if engine not in engines:
         raise ParameterError(
-            f"epsilon > 0 only applies to engines {capable}, "
-            f"got engine={engine!r}"
+            f"engine={engine!r} does not run on backend={backend!r}; "
+            f"backend {backend!r} runs engines {engines}"
         )
 
 

@@ -17,7 +17,7 @@ from repro.fast.similarity import (
     fast_similarity_columns,
     fast_similarity_map,
 )
-from repro.fast.sweep import fast_sweep, wedge_stream
+from repro.fast.sweep import fast_sweep
 
 __all__ = [
     "adjacency_matrix",
@@ -28,5 +28,4 @@ __all__ = [
     "fast_similarity_columns",
     "fast_similarity_map",
     "fast_sweep",
-    "wedge_stream",
 ]

@@ -11,7 +11,10 @@ Each epoch's chunk is processed in two steps:
 Both steps run on a persistent :class:`~repro.parallel.runtime.SweepRuntime`
 — worker state (thread/process pools, or the shared-memory arena for
 ``backend="shm"``) is created once per sweep and reused across every
-chunk and epoch, exactly as the paper's pthreads outlive the run.
+chunk and epoch, exactly as the paper's pthreads outlive the run.  The
+two steps above are the chained engine's, on the ``thread`` and
+``process`` backends; the shared-memory arena runs only the batch and
+sharded engines (the registry's ``BackendSpec.engines``).
 
 The sweep reaches the runtime through one transport.  A dict similarity
 map converts to columns at sweep entry (with no map, Phase I runs
@@ -43,6 +46,7 @@ from repro.core.coarse import (
     _as_labels,
     _CoarseSweeper,
 )
+from repro.core.registry import backend_names, require_backend_engine
 from repro.core.simcolumns import SimilarityColumns
 from repro.core.similarity import SimilarityMap
 from repro.core.storage import StorageSettings
@@ -71,7 +75,6 @@ class _ParallelCoarseSweeper(_CoarseSweeper):
         runtime: SweepRuntime,
         tracer=None,
         engine: str = "chained",
-        epsilon: float = 0.0,
         cancel: Optional[CancelToken] = None,
         storage: Optional[StorageSettings] = None,
     ):
@@ -82,7 +85,6 @@ class _ParallelCoarseSweeper(_CoarseSweeper):
             edge_order,
             tracer,
             engine=engine,
-            epsilon=epsilon,
             cancel=cancel,
             storage=storage,
         )
@@ -108,10 +110,9 @@ class _ParallelCoarseSweeper(_CoarseSweeper):
                 _as_labels(before), w_start, w_end
             )
         elif self.engine == "sharded":
-            after, deferred = self._runtime.chunk_sharded_range(
-                _as_labels(before), w_start, w_end, defer_boundary=self.epsilon > 0
+            after = self._runtime.chunk_sharded_range(
+                _as_labels(before), w_start, w_end
             )
-            self._push_deferred(deferred)
         else:
             assert isinstance(before, ChainArray)
             after = self._runtime.chunk_merge_range(before, w_start, w_end)
@@ -128,7 +129,6 @@ def parallel_coarse_sweep(
     backend: Union[str, ExecutionBackend, SweepRuntime] = "thread",
     tracer=None,
     engine: str = "chained",
-    epsilon: float = 0.0,
     cancel: Optional[CancelToken] = None,
     storage: Optional[StorageSettings] = None,
 ) -> CoarseResult:
@@ -150,13 +150,14 @@ def parallel_coarse_sweep(
     one more contraction, and ``"sharded"`` gives each worker ownership
     of one contiguous vertex range of ``C`` (no private full copies;
     :mod:`repro.parallel.sharded_sweep`) with host-side boundary
-    reconciliation per level.  Every engine runs on the columnar pair
+    reconciliation per level.  The ``shm`` backend runs only
+    ``"batch"`` and ``"sharded"``; ``engine="chained"`` on it (by name
+    or as a caller-owned runtime) raises
+    :class:`~repro.errors.ParameterError` before any work starts.
+    Every engine runs on the columnar pair
     pipeline: a dict ``similarity_map`` is converted up front (same
     list-L order, so the same chunks and levels), and a missing one is
     computed by :func:`repro.fast.similarity.fast_similarity_columns`.
-    ``epsilon > 0`` (sharded only) defers boundary reconciliation
-    across levels while local merge deltas stay within ``(1 + epsilon)``
-    of the reconciled count; the final partition is unchanged.
 
     ``cancel`` is an optional :class:`~repro.core.cancel.CancelToken`
     checked at chunk boundaries (between runtime dispatches, never
@@ -177,12 +178,17 @@ def parallel_coarse_sweep(
     """
     if num_workers < 1:
         raise ParameterError(f"num_workers must be >= 1, got {num_workers}")
+    # Check the engine against the backend before any worker exists; a
+    # runtime or pool instance is checked by its backend name.
+    backend_name = backend if isinstance(backend, str) else getattr(backend, "name", None)
+    if backend_name in backend_names():
+        require_backend_engine(backend_name, engine)
+    caller_owned = isinstance(backend, SweepRuntime)
+    runtime = get_sweep_runtime(backend, num_workers)
     # Every parallel sweep consumes columns, so Phase I runs columnar.
     sim = similarity_map
     if sim is None:
         sim = fast_similarity_columns(graph)
-    caller_owned = isinstance(backend, SweepRuntime)
-    runtime = get_sweep_runtime(backend, num_workers)
     sweeper = _ParallelCoarseSweeper(
         graph,
         sim,
@@ -191,7 +197,6 @@ def parallel_coarse_sweep(
         runtime,
         tracer,
         engine=engine,
-        epsilon=epsilon,
         cancel=cancel,
         storage=storage,
     )

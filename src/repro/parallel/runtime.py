@@ -22,11 +22,13 @@ Two implementations cover the four backends:
 
 * :class:`LocalSweepRuntime` — ``serial`` / ``thread`` / ``process``
   over :mod:`repro.parallel.pool`: per-chunk ``T`` private copies of
-  array ``C``, one map call, hierarchical array merge;
+  array ``C``, one map call, hierarchical array merge (the paper's
+  Section VI-B sweep, and the only runtime that runs the chained
+  engine);
 * :class:`ShmSweepRuntime` — the ``shm`` backend over
   :class:`repro.parallel.shm_sweep.ShmArena`: one resident ``T x n``
   shared block plus ``T`` resident worker processes, nothing but range
-  tuples crossing a queue.
+  tuples crossing a queue; batch and sharded engines only.
 
 Every runtime reports a chunk's cost through its ``tracer`` as
 ``runtime:spawn`` / ``runtime:copy`` / ``runtime:compute`` /
@@ -38,7 +40,6 @@ from __future__ import annotations
 
 import threading
 import time
-from abc import ABC, abstractmethod
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -52,12 +53,7 @@ from repro.fast.batch_sweep import batch_components, batch_join_rows
 from repro.parallel.merge_arrays import hierarchical_merge
 from repro.parallel.partitioner import ShardedPartition, strided_partition
 from repro.parallel.pool import ExecutionBackend, SerialBackend, get_backend
-from repro.parallel.sharded_sweep import (
-    ShardTask,
-    _empty_pairs,
-    sharded_components,
-    solve_shard,
-)
+from repro.parallel.sharded_sweep import ShardTask, sharded_components, solve_shard
 from repro.parallel.shm_sweep import ShmArena
 
 __all__ = [
@@ -71,7 +67,7 @@ __all__ = [
 
 SWEEP_BACKENDS = backend_names()
 
-class SweepRuntime(ABC):
+class SweepRuntime:
     """Long-lived worker state + the per-chunk merge operation.
 
     Lifecycle: ``start()`` (idempotent; chunk calls start lazily),
@@ -131,9 +127,9 @@ class SweepRuntime(ABC):
         """Load the sweep's full K2 pair columns once.
 
         ``i1``/``i2`` are the array-``C`` indices of every wedge's two
-        edges, in list-L order.  Subsequent
-        :meth:`chunk_merge_range` calls address ``[start, stop)`` windows
-        of these columns, so per-chunk dispatch ships only two ints —
+        edges, in list-L order.  Subsequent chunk calls
+        (``chunk_*_range``) address ``[start, stop)`` windows of these
+        columns, so per-chunk dispatch ships only two ints —
         and on the shm backend the columns are written into shared
         memory exactly once.
         """
@@ -164,7 +160,7 @@ class SweepRuntime(ABC):
     def _require_pairs(self, start: int, stop: int) -> Tuple[np.ndarray, np.ndarray]:
         if self._pairs is None:
             raise ParameterError(
-                "chunk_merge_range requires load_pairs() to be called first"
+                "chunk ranges require load_pairs() to be called first"
             )
         i1, i2 = self._pairs
         if not (0 <= start <= stop <= len(i1)):
@@ -174,7 +170,6 @@ class SweepRuntime(ABC):
             )
         return i1, i2
 
-    @abstractmethod
     def chunk_merge_range(
         self, chain: ChainArray, start: int, stop: int
     ) -> ChainArray:
@@ -183,8 +178,14 @@ class SweepRuntime(ABC):
         Starts from ``chain`` and returns the merged array (``chain``
         itself, unmodified, for an empty window); never mutates
         ``chain``.  Requires a prior :meth:`load_pairs` or
-        :meth:`load_pairs_file`.
+        :meth:`load_pairs_file`.  Only :class:`LocalSweepRuntime` runs
+        the chained engine; any other runtime raises
+        :class:`~repro.errors.ParameterError`.
         """
+        raise ParameterError(
+            f"engine='chained' does not run on backend={self.name!r}; "
+            "use engine='batch' or engine='sharded'"
+        )
 
     def chunk_batch_range(
         self, labels: np.ndarray, start: int, stop: int
@@ -210,41 +211,29 @@ class SweepRuntime(ABC):
         return after
 
     def chunk_sharded_range(
-        self,
-        labels: np.ndarray,
-        start: int,
-        stop: int,
-        defer_boundary: bool = False,
-    ) -> Tuple[np.ndarray, Tuple[np.ndarray, np.ndarray]]:
+        self, labels: np.ndarray, start: int, stop: int
+    ) -> np.ndarray:
         """Sharded-engine counterpart of :meth:`chunk_batch_range`.
 
         Splits the window's live root pairs by contiguous vertex
         ownership, contracts each shard locally, and reconciles the
         deduplicated boundary pairs
         (:func:`repro.parallel.sharded_sweep.sharded_components`).
-        Returns ``(labels', (deferred_a, deferred_b))`` with ``labels'``
-        fully compressed; the deferred
-        arrays are empty unless ``defer_boundary`` is set, in which
-        case the boundary pairs come back for the driver's epsilon
-        machinery instead of being applied.  This baseline solves the
+        Returns the fully compressed labels of the join, the same
+        contract as :meth:`chunk_batch_range`.  This baseline solves the
         shards sequentially in process; subclasses fan the shard tasks
         out to workers.
         """
         i1, i2 = self._require_pairs(start, stop)
         if start == stop:
-            return labels, _empty_pairs()
+            return labels
         part = self._shard_partition(len(labels))
         t0 = time.perf_counter()
-        merged, deferred, _stats = sharded_components(
-            labels,
-            i1[start:stop],
-            i2[start:stop],
-            part,
-            tracer=self.tracer,
-            defer_boundary=defer_boundary,
+        merged, _stats = sharded_components(
+            labels, i1[start:stop], i2[start:stop], part, tracer=self.tracer
         )
         self.tracer.record("runtime:compute", time.perf_counter() - t0, workers=1)
-        return merged, deferred
+        return merged
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(backend={self.name!r})"
@@ -472,12 +461,8 @@ class LocalSweepRuntime(SweepRuntime):
         return joined
 
     def chunk_sharded_range(
-        self,
-        labels: np.ndarray,
-        start: int,
-        stop: int,
-        defer_boundary: bool = False,
-    ) -> Tuple[np.ndarray, Tuple[np.ndarray, np.ndarray]]:
+        self, labels: np.ndarray, start: int, stop: int
+    ) -> np.ndarray:
         """Sharded engine over the pool: owner-computes shard tasks.
 
         Classification and boundary reconciliation run on the host
@@ -490,7 +475,7 @@ class LocalSweepRuntime(SweepRuntime):
         """
         i1, i2 = self._require_pairs(start, stop)
         if start == stop:
-            return labels, _empty_pairs()
+            return labels
         tracer = self.tracer
         part = self._shard_partition(len(labels))
         compute_cell = [0.0]
@@ -508,13 +493,12 @@ class LocalSweepRuntime(SweepRuntime):
             return list(results)
 
         t0 = time.perf_counter()
-        merged, deferred, _stats = sharded_components(
+        merged, _stats = sharded_components(
             labels,
             i1[start:stop],
             i2[start:stop],
             part,
             tracer=tracer,
-            defer_boundary=defer_boundary,
             shard_solver=solver,
         )
         t1 = time.perf_counter()
@@ -523,7 +507,7 @@ class LocalSweepRuntime(SweepRuntime):
         # Host-side classification, reconciliation, and relabel
         # composition are the combine step.
         tracer.record("runtime:merge", max(0.0, (t1 - t0) - compute_cell[0]))
-        return merged, deferred
+        return merged
 
     def __repr__(self) -> str:
         return (
@@ -583,14 +567,12 @@ class ShmSweepRuntime(SweepRuntime):
         self,
         arena: ShmArena,
         before: Tuple[float, float, float, float],
-        host_copy: float = 0.0,
     ) -> None:
         """Record one arena chunk's cost as ``runtime:*`` spans.
 
         The arena times its own steps (workers run out-of-process); this
         chunk's cost is the change in its counters since ``before``
-        (:func:`_arena_costs`), plus any ``host_copy`` seconds spent
-        outside the arena.
+        (:func:`_arena_costs`).
         """
         spawn, copy, compute, merge = (
             now - then for now, then in zip(_arena_costs(arena), before)
@@ -598,7 +580,7 @@ class ShmSweepRuntime(SweepRuntime):
         tracer = self.tracer
         if spawn > 0.0:
             tracer.record("runtime:spawn", spawn, backend=self.name)
-        tracer.record("runtime:copy", copy + host_copy)
+        tracer.record("runtime:copy", copy)
         tracer.record("runtime:compute", compute, workers=self.num_workers)
         tracer.record("runtime:merge", merge)
 
@@ -617,31 +599,15 @@ class ShmSweepRuntime(SweepRuntime):
         else:
             arena.load_pairs(i1, i2, token=self._pairs_token)
 
-    def chunk_merge_range(
-        self, chain: ChainArray, start: int, stop: int
-    ) -> ChainArray:
-        i1, i2 = self._require_pairs(start, stop)
-        if start == stop:
-            return chain
-        arena = self._arena_for(len(chain))
-        self._sync_pairs(arena, i1, i2)
-        before = _arena_costs(arena)
-        raw = arena.chunk_merge_range(list(chain.raw()), start, stop)
-        t0 = time.perf_counter()
-        merged = ChainArray(len(raw), _init=raw)
-        self._record_costs(arena, before, host_copy=time.perf_counter() - t0)
-        return merged
-
     def chunk_batch_range(
         self, labels: np.ndarray, start: int, stop: int
     ) -> np.ndarray:
         """Batch engine over the arena (``("batch_range", ...)`` tasks).
 
-        Same shared-memory transport as :meth:`chunk_merge_range` —
-        pair columns loaded once, only a range tuple per task — but
-        each worker contracts its strided slice vectorized in place of
-        its row, and the parent joins the rows with one batch
-        contraction instead of the pairwise chain-walk merge.
+        Pair columns are loaded into shared memory once per sweep and
+        each task is only a range tuple; each worker contracts its
+        strided slice vectorized in place of its row, and the parent
+        joins the rows with one batch contraction.
         """
         i1, i2 = self._require_pairs(start, stop)
         if start == stop:
@@ -654,12 +620,8 @@ class ShmSweepRuntime(SweepRuntime):
         return after
 
     def chunk_sharded_range(
-        self,
-        labels: np.ndarray,
-        start: int,
-        stop: int,
-        defer_boundary: bool = False,
-    ) -> Tuple[np.ndarray, Tuple[np.ndarray, np.ndarray]]:
+        self, labels: np.ndarray, start: int, stop: int
+    ) -> np.ndarray:
         """Sharded engine over the arena (owner-computes shard tasks).
 
         The arena keeps array ``C`` once in shared memory; each resident
@@ -670,15 +632,13 @@ class ShmSweepRuntime(SweepRuntime):
         """
         i1, i2 = self._require_pairs(start, stop)
         if start == stop:
-            return labels, _empty_pairs()
+            return labels
         arena = self._arena_for(len(labels))
         self._sync_pairs(arena, i1, i2)
         boundary_before = arena.boundary_edges
         rounds_before = arena.reconcile_rounds
         before = _arena_costs(arena)
-        after, deferred = arena.chunk_sharded_range(
-            labels, start, stop, defer_boundary=defer_boundary
-        )
+        after = arena.chunk_sharded_range(labels, start, stop)
         self._record_costs(arena, before)
         tracer = self.tracer
         tracer.gauge("shard_bytes", arena.shard_bytes)
@@ -688,7 +648,7 @@ class ShmSweepRuntime(SweepRuntime):
         rounds_delta = arena.reconcile_rounds - rounds_before
         if rounds_delta:
             tracer.count("reconcile_rounds", rounds_delta)
-        return after, deferred
+        return after
 
     def __repr__(self) -> str:
         return f"ShmSweepRuntime(num_workers={self.num_workers})"

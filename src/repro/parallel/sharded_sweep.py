@@ -34,11 +34,8 @@ dendrogram-identical to the chained oracle at every level (tested).
 
 This is the TeraHAC/cuSLINK decomposition (arXiv:2308.03578,
 arXiv:2306.16354): shards run local merge rounds independently and only
-the much smaller boundary set crosses shards per epoch.  The optional
-``defer_boundary`` mode goes one step further and *returns* the
-deduplicated boundary set instead of contracting it, letting the coarse
-driver postpone reconciliation while local merge deltas stay within its
-``(1 + epsilon)`` bound.
+the much smaller boundary set crosses shards per epoch.  Every level is
+reconciled in full, so every level is exact.
 
 Tracing: each shard's local contraction is recorded as a
 ``sweep:shard[s]`` span (externally timed, so parallel drivers report
@@ -101,10 +98,6 @@ class ShardedChunkStats:
     boundary_edges: int
     reconcile_rounds: int
     shards_busy: int
-
-
-def _empty_pairs() -> Tuple[np.ndarray, np.ndarray]:
-    return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
 
 
 def solve_shard(width: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -194,18 +187,14 @@ def sharded_components(
     i2: np.ndarray,
     part: ShardedPartition,
     tracer=None,
-    defer_boundary: bool = False,
     shard_solver: Optional[ShardSolver] = None,
-) -> Tuple[np.ndarray, Tuple[np.ndarray, np.ndarray], ShardedChunkStats]:
+) -> Tuple[np.ndarray, ShardedChunkStats]:
     """One sharded level: ``labels`` + edge pairs → compressed labels.
 
-    Returns ``(merged, (deferred_a, deferred_b), stats)``.  ``merged``
-    is the fully compressed join — bitwise equal to
+    Returns ``(merged, stats)``.  ``merged`` is the fully compressed
+    join — bitwise equal to
     :func:`~repro.fast.batch_sweep.batch_components` over the same
-    inputs when ``defer_boundary`` is false.  With ``defer_boundary``
-    the deduplicated boundary cluster pairs come back unapplied (both
-    arrays empty otherwise) and ``merged`` holds intra-shard merges
-    only.  ``shard_solver`` lets parallel runtimes fan the
+    inputs.  ``shard_solver`` lets parallel runtimes fan the
     :class:`ShardTask` list out to owner workers; by default shards are
     solved sequentially in process.  Neither input array is mutated.
     """
@@ -234,7 +223,7 @@ def sharded_components(
     a = a[live]
     b = b[live]
     if a.size == 0:
-        return lab, _empty_pairs(), ShardedChunkStats(0, 0, 0, 0)
+        return lab, ShardedChunkStats(0, 0, 0, 0)
     tracer.gauge("shard_bytes", part.max_width * 8)
 
     cls = part.classify(a, b)
@@ -275,7 +264,6 @@ def sharded_components(
 
     boundary_edges = 0
     rounds = 0
-    deferred = _empty_pairs()
     if cls.boundary_a.size:
         ba = rho[cls.boundary_a]
         bb = rho[cls.boundary_b]
@@ -286,19 +274,16 @@ def sharded_components(
             ba, bb = dedupe_root_pairs(ba, bb, part.n)
             boundary_edges = int(ba.size)
             tracer.count("boundary_edges", boundary_edges)
-            if defer_boundary:
-                deferred = (ba, bb)
-            else:
-                t0 = perf_counter()
-                keys, vals, rounds = reconcile_labels(ba, bb)
-                apply_relabels(rho, keys, vals)
-                tracer.record(
-                    "sweep:reconcile",
-                    perf_counter() - t0,
-                    edges=boundary_edges,
-                )
-                if rounds:
-                    tracer.count("reconcile_rounds", rounds)
+            t0 = perf_counter()
+            keys, vals, rounds = reconcile_labels(ba, bb)
+            apply_relabels(rho, keys, vals)
+            tracer.record(
+                "sweep:reconcile",
+                perf_counter() - t0,
+                edges=boundary_edges,
+            )
+            if rounds:
+                tracer.count("reconcile_rounds", rounds)
 
     merged = rho[lab]
     stats = ShardedChunkStats(
@@ -307,5 +292,5 @@ def sharded_components(
         reconcile_rounds=rounds,
         shards_busy=len(tasks),
     )
-    return merged, deferred, stats
+    return merged, stats
 

@@ -1,12 +1,14 @@
 """Shared-memory multiprocessing for the parallel sweeping step.
 
-The thread backend shares array ``C`` copies for free but serializes on
-the GIL; the plain process backend parallelizes but pickles every copy
-of ``C`` across the boundary twice per chunk.  This module removes the
-pickling: one ``multiprocessing.shared_memory`` block holds all ``T``
-copies as rows of an int64 matrix, worker processes attach and run
-MERGE over their row in place, and the parent combines rows with the
-corrected array-merge scheme without any copy leaving shared memory.
+The thread backend shares label arrays for free but serializes on the
+GIL; the plain process backend parallelizes but pickles every label
+array across the boundary twice per chunk.  This module removes the
+pickling: one ``multiprocessing.shared_memory`` block holds ``T`` rows
+of an int64 matrix, worker processes attach and contract their share of
+a chunk in place of their row, and the parent joins the rows without
+any copy leaving shared memory.  The arena runs the batch and sharded
+engines only; the paper's chained MERGE plus array-merge (Section
+VI-B) runs on the ``thread`` and ``process`` backends.
 
 Not even the edge-pair slices cross a queue: :meth:`ShmArena.load_pairs`
 writes the sweep's sorted pair columns into a second shared block *once
@@ -33,14 +35,11 @@ from typing import Any, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.cluster.shm import NumpyChainArray
 from repro.core.storage import PairFileSpec
 from repro.errors import ParallelError, ParameterError
 from repro.fast.batch_sweep import batch_components, batch_join_rows, compress_labels
-from repro.parallel.merge_arrays import merge_chain_into
 from repro.parallel.partitioner import ShardedPartition, strided_partition
 from repro.parallel.sharded_sweep import (
-    _empty_pairs,
     apply_relabels,
     dedupe_root_pairs,
     reconcile_labels,
@@ -114,23 +113,21 @@ def _worker(
     task_queue: Any,
     result_queue: Any,
 ) -> None:
-    """Long-lived arena worker: MERGE each task's pairs on row ``row``.
+    """Long-lived arena worker: contract each task's pairs on row ``row``.
 
     Attaches to the shared block once, then serves tasks until the
-    ``None`` sentinel.  Five task shapes are served:
+    ``None`` sentinel.  Four task shapes are served:
 
-    * a ``("range", name, capacity, offset, stop, stride)`` tuple
-      (chained engine): the worker lazily attaches to the named pairs
-      block and merges the strided slice — no pair data on the queue;
-    * a ``("batch_range", ...)`` tuple with the same fields (batch
-      engine): the strided slice is contracted vectorized
-      (:func:`repro.fast.batch_sweep.batch_components`) and the fully
-      compressed labels written back into the worker's row;
-    * ``("file_range", spec, offset, stop, stride)`` /
-      ``("batch_file_range", ...)`` tuples (out-of-core columnar
-      path): as above, but the pair columns come from the
-      :class:`~repro.core.storage.PairFileSpec`'s memory-mapped pair
-      file (mapped lazily, cached per worker) instead of a shared
+    * a ``("batch_range", name, capacity, offset, stop, stride)`` tuple
+      (batch engine): the worker lazily attaches to the named pairs
+      block, contracts the strided slice vectorized
+      (:func:`repro.fast.batch_sweep.batch_components`) and writes the
+      fully compressed labels back into its row — no pair data on the
+      queue;
+    * a ``("batch_file_range", spec, offset, stop, stride)`` tuple
+      (out-of-core columnar path): as above, but the pair columns come
+      from the :class:`~repro.core.storage.PairFileSpec`'s memory-mapped
+      pair file (mapped lazily, cached per worker) instead of a shared
       block — the kernel page cache shares the pages across workers;
     * a ``("shard_local", name, capacity, seg_start, seg_stop, lo, hi)``
       tuple (sharded engine): the worker owns vertex range ``[lo, hi)``
@@ -146,7 +143,7 @@ def _worker(
     The matrix is mapped in full (``num_rows`` x ``n``) because sharded
     tasks address rows 0/1 regardless of the worker's own row index.
 
-    A failure while merging is reported to the parent through the
+    A failure while contracting is reported to the parent through the
     result queue (the worker stays alive — its row is rewritten from
     ``base`` at the next chunk anyway).
     """
@@ -166,8 +163,8 @@ def _worker(
                 break
             try:
                 kind = task[0]
-                if kind in ("range", "batch_range", "file_range", "batch_file_range"):
-                    if kind.endswith("file_range"):
+                if kind in ("batch_range", "batch_file_range"):
+                    if kind == "batch_file_range":
                         _, spec, offset, stop, stride = task
                         if file_path != spec.path:
                             # New sweep, new pair file: remap (dropping
@@ -190,16 +187,14 @@ def _worker(
                             (2, capacity), dtype=np.int64, buffer=pairs_block.buf
                         )
                         cols = (mat[0], mat[1])
-                    i1 = cols[0][offset:stop:stride]
-                    i2 = cols[1][offset:stop:stride]
-                    if kind.startswith("batch"):
-                        # The kernel reads the shared slices and copies
-                        # internally; only the final labels touch this
-                        # worker's own row.
-                        matrix[row, :] = batch_components(row_view, i1, i2)
-                    else:
-                        chain = NumpyChainArray(n, buffer=row_view, initialized=True)
-                        chain.merge_run(i1, i2, 0, len(i1))
+                    # The kernel reads the shared slices and copies
+                    # internally; only the final labels touch this
+                    # worker's own row.
+                    matrix[row, :] = batch_components(
+                        row_view,
+                        cols[0][offset:stop:stride],
+                        cols[1][offset:stop:stride],
+                    )
                 elif kind == "shard_local":
                     _, name, capacity, seg_start, seg_stop, lo, hi = task
                     if edges_name != name:
@@ -247,7 +242,7 @@ class ShmArena:
     ``merge_time``) accumulate in seconds; the runtime in
     :mod:`repro.parallel.runtime` diffs them around each chunk into
     ``runtime:*`` spans.  ``chunks`` and the per-kind task counters
-    (``range_tasks``, ``batch_tasks``, ``shard_tasks``) count dispatches.
+    (``batch_tasks``, ``shard_tasks``) count dispatches.
     """
 
     def __init__(self, n: int, num_workers: int = 2):
@@ -287,7 +282,6 @@ class ShmArena:
         self.merge_time = 0.0
         self.chunks = 0
         self.pair_loads = 0
-        self.range_tasks = 0
         self.batch_tasks = 0
         self.shard_tasks = 0
         self.boundary_edges = 0
@@ -388,7 +382,7 @@ class ShmArena:
 
         Called once per sweep (not per chunk): the two edge-index
         columns are written into a dedicated shared block that
-        :meth:`chunk_merge_range` tasks reference by name, so chunk
+        :meth:`chunk_batch_range` tasks reference by name, so chunk
         dispatch ships only a range tuple.  The block is grown on
         demand and reused across loads that fit; :meth:`shutdown`
         releases it.  ``token`` (any object) is stored as
@@ -531,82 +525,21 @@ class ShmArena:
             )
         return base_arr
 
-    def chunk_merge_range(
-        self, base: Sequence[int], start: int, stop: int
-    ) -> List[int]:
-        """Process pairs ``[start, stop)`` of the loaded columns.
-
-        ``base`` is the current array ``C`` (length ``n``); returns the
-        merged array after all pairs as a plain list — the join of the
-        per-worker results, identical to serial processing.  Requires a
-        prior :meth:`load_pairs` (or :meth:`load_pairs_file`) and
-        dispatches only range tuples — worker ``r`` merges the strided
-        slice ``start + r :: num_workers``, the round-robin partition
-        of the range.
-        """
-        base_arr = self._check_window(base, start, stop, "chunk_merge_range")
-        self.chunks += 1
-        total = stop - start
-        if total == 0 or self.n == 0:
-            return base_arr.tolist()
-        busy = min(self.num_workers, total)
-        if busy == 1:
-            # One busy worker: IPC buys nothing; merge inline off the
-            # host copy of the columns.
-            host_i1, host_i2 = self._pairs_host
-            t0 = time.perf_counter()
-            chain = NumpyChainArray(self.n, buffer=base_arr.copy(), initialized=True)
-            chain.merge_run(host_i1, host_i2, start, stop)
-            self.compute_time += time.perf_counter() - t0
-            return chain.raw().tolist()
-
-        self.start()
-        assert self._matrix is not None
-
-        t0 = time.perf_counter()
-        self._matrix[:busy] = base_arr
-        self.copy_time += time.perf_counter() - t0
-
-        t0 = time.perf_counter()
-        for row in range(busy):
-            if self._pairs_file is not None:
-                task: Tuple[Any, ...] = (
-                    "file_range",
-                    self._pairs_file,
-                    start + row,
-                    stop,
-                    self.num_workers,
-                )
-            else:
-                assert self._pairs_block is not None
-                task = (
-                    "range",
-                    self._pairs_block.name,
-                    self._pairs_capacity,
-                    start + row,
-                    stop,
-                    self.num_workers,
-                )
-            self._task_queues[row].put(task)
-        self.range_tasks += busy
-        self._collect(busy)
-        self.compute_time += time.perf_counter() - t0
-
-        return self._combine_rows(busy)
-
     def chunk_batch_range(
         self, base: np.ndarray, start: int, stop: int
     ) -> np.ndarray:
-        """Batch-engine counterpart of :meth:`chunk_merge_range`.
+        """Union pairs ``[start, stop)`` of the loaded columns into ``base``.
 
-        Worker ``r`` contracts its strided slice of pairs ``[start,
-        stop)`` vectorized (:func:`repro.fast.batch_sweep.batch_components`)
-        instead of walking the MERGE chain pair by pair, and the parent
-        joins the resulting rows with one more vectorized contraction
+        Requires a prior :meth:`load_pairs` (or :meth:`load_pairs_file`)
+        and dispatches only range tuples: worker ``r`` contracts the
+        strided slice ``start + r :: busy`` of the window vectorized
+        (:func:`repro.fast.batch_sweep.batch_components`), the
+        round-robin partition of the range, and the parent joins the
+        resulting rows with one more vectorized contraction
         (:func:`repro.fast.batch_sweep.batch_join_rows`).  ``base`` is a
         label array (never mutated; returned as is for an empty window);
-        returns the fully compressed labels of the join as a host array.
-        The partition equals the chained result's.
+        returns the fully compressed labels of the join as a host array,
+        the partition serial MERGE over the same pairs produces.
         """
         base_arr = self._check_window(base, start, stop, "chunk_batch_range")
         self.chunks += 1
@@ -664,12 +597,8 @@ class ShmArena:
         return joined
 
     def chunk_sharded_range(
-        self,
-        base: np.ndarray,
-        start: int,
-        stop: int,
-        defer_boundary: bool = False,
-    ) -> Tuple[np.ndarray, Tuple[np.ndarray, np.ndarray]]:
+        self, base: np.ndarray, start: int, stop: int
+    ) -> np.ndarray:
         """Sharded-engine counterpart of :meth:`chunk_batch_range`.
 
         Owner-computes over the shared block: the compressed labels live
@@ -684,33 +613,26 @@ class ShmArena:
         reconciles the deduplicated boundary cluster pairs on row 1,
         and the owners broadcast the final relabels back into row 0.
 
-        Returns ``(labels, (deferred_a, deferred_b))``: the fully
-        compressed labels as a host array, plus the unapplied boundary
-        cluster pairs — non-empty only with ``defer_boundary=True``
-        (plain host arrays, detached from shared memory).
+        Returns the fully compressed labels as a host array, detached
+        from shared memory (``base`` itself for an empty window).
         """
         base_arr = self._check_window(base, start, stop, "chunk_sharded_range")
         self.chunks += 1
-        empty = _empty_pairs()
         if stop - start == 0 or self.n == 0:
-            return base_arr, empty
+            return base_arr
         host_i1, host_i2 = self._pairs_host
         part = self.shard_partition()
         if self.num_workers == 1 or part.num_shards < 2:
             # A single owner has nothing to shard across; run the pure
             # level in process (identical result, no IPC).
             t0 = time.perf_counter()
-            merged, deferred, cstats = sharded_components(
-                base_arr,
-                host_i1[start:stop],
-                host_i2[start:stop],
-                part,
-                defer_boundary=defer_boundary,
+            merged, cstats = sharded_components(
+                base_arr, host_i1[start:stop], host_i2[start:stop], part
             )
             self.compute_time += time.perf_counter() - t0
             self.boundary_edges += cstats.boundary_edges
             self.reconcile_rounds += cstats.reconcile_rounds
-            return merged, deferred
+            return merged
 
         self.start()
         assert self._matrix is not None
@@ -726,7 +648,7 @@ class ShmArena:
         b = b[live]
         if a.size == 0:
             self.merge_time += time.perf_counter() - t0
-            return lab, empty
+            return lab
         cls = part.classify(a, b)
         self.merge_time += time.perf_counter() - t0
 
@@ -772,7 +694,6 @@ class ShmArena:
         self.compute_time += time.perf_counter() - t0
 
         # Boundary-epoch reconciliation on the shared rho row (host).
-        deferred = empty
         t0 = time.perf_counter()
         rho = self._matrix[1]
         if cls.boundary_a.size:
@@ -784,12 +705,9 @@ class ShmArena:
             if ba.size:
                 ba, bb = dedupe_root_pairs(ba, bb, self.n)
                 self.boundary_edges += int(ba.size)
-                if defer_boundary:
-                    deferred = (ba, bb)
-                else:
-                    keys, vals, rounds = reconcile_labels(ba, bb)
-                    apply_relabels(rho, keys, vals)
-                    self.reconcile_rounds += rounds
+                keys, vals, rounds = reconcile_labels(ba, bb)
+                apply_relabels(rho, keys, vals)
+                self.reconcile_rounds += rounds
         self.merge_time += time.perf_counter() - t0
 
         # Owners broadcast the reconciled relabels back into row 0;
@@ -810,21 +728,6 @@ class ShmArena:
         t0 = time.perf_counter()
         out = self._matrix[0].copy()
         self.copy_time += time.perf_counter() - t0
-        return out, deferred
-
-    def _combine_rows(self, t: int) -> List[int]:
-        """Step 2: combine rows pairwise (corrected scheme) in the parent."""
-        assert self._matrix is not None
-        t0 = time.perf_counter()
-        chains = [
-            NumpyChainArray(self.n, buffer=self._matrix[row], initialized=True)
-            for row in range(t)
-        ]
-        result = chains[0]
-        for other in chains[1:]:
-            merge_chain_into(result, other)
-        out = result.raw().tolist()
-        self.merge_time += time.perf_counter() - t0
         return out
 
     def _collect(self, t: int) -> None:

@@ -83,13 +83,24 @@ class _Handler(BaseHTTPRequestHandler):
         self._send_json(code, {"error": message})
 
     def _read_json_body(self) -> Any:
-        length = int(self.headers.get("Content-Length", 0) or 0)
+        header = self.headers.get("Content-Length", "") or "0"
+        try:
+            length = int(header)
+        except ValueError:
+            length = -1
+        if length < 0:
+            # The body's extent is unknown, so the connection cannot be
+            # reused for another request.
+            self.close_connection = True
+            raise ParameterError(
+                f"Content-Length must be a non-negative integer, got {header!r}"
+            )
         raw = self.rfile.read(length) if length else b""
         if not raw:
             return {}
         try:
             return json.loads(raw)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ParameterError(f"request body is not valid JSON: {exc}") from exc
 
     def _lookup_job(self, job_id: str) -> Optional[Job]:

@@ -28,7 +28,6 @@ RULES = [
     "OBS103",
     "COR001",
     "API001",
-    "API002",
 ]
 
 # Some bad fixtures legitimately violate a sibling rule too: a worker
@@ -207,13 +206,3 @@ class TestApi001Details:
     def test_every_mutable_default_flagged(self):
         findings = run_rule("API001", "api001_bad.py")
         assert len(findings) == 4
-
-
-class TestApi002Details:
-    def test_constructor_and_run_sites_flagged(self):
-        findings = run_rule("API002", "api002_bad.py")
-        # two positional-constructor sites + one positional run()
-        assert len(findings) == 3
-        messages = " ".join(f.message for f in findings)
-        assert "RunConfig" in messages
-        assert "similarity_map" in messages

@@ -67,7 +67,6 @@ class TestSelectIgnore:
     def test_catalog_lists_all_rules(self):
         assert rule_ids() == [
             "API001",
-            "API002",
             "COR001",
             "DET001",
             "DET101",

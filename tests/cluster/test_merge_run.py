@@ -13,7 +13,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cluster.shm import NumpyChainArray
 from repro.cluster.unionfind import ChainArray
 from repro.errors import ClusteringError
 
@@ -77,27 +76,6 @@ def test_property_merge_run_equals_per_wedge_merge(case):
     arrays = (np.asarray(c1, dtype=np.int64), np.asarray(c2, dtype=np.int64))
     assert plain.merge_run(*arrays, start, stop) == want_merges
     _assert_same(plain, want)
-
-
-@given(chain_runs())
-@settings(max_examples=100, deadline=None)
-def test_property_numpy_chain_array_merge_run(case):
-    n, prior, wedges, start, stop = case
-    c1 = np.asarray([a for a, _ in wedges], dtype=np.int64)
-    c2 = np.asarray([b for _, b in wedges], dtype=np.int64)
-    want = _state(n, prior)
-    want_merges, _ = _reference(want, c1.tolist(), c2.tolist(), start, stop)
-
-    base = _state(n, prior)
-    got = NumpyChainArray(
-        n, buffer=np.asarray(base.raw(), dtype=np.int64), initialized=True
-    )
-    assert got.merge_run(c1, c2, start, stop) == want_merges
-    assert got.raw().tolist() == list(want.raw())
-    # Its counters start at zero on adoption of the prior state.
-    assert got.changes == want.changes - base.changes
-    assert got.accesses == want.accesses - base.accesses
-    assert got.num_clusters() == want.num_clusters() == got.count_roots()
 
 
 def test_split_windows_equal_one_run():

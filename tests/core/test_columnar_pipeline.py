@@ -14,13 +14,16 @@ from repro.cluster.validation import same_partition
 from repro.core.coarse import CoarseParams, coarse_sweep
 from repro.core.config import AUTO_COLUMNAR_MIN_K2, RunConfig
 from repro.core.linkclust import LinkClustering
+from repro.core.registry import backend_names, get_backend
 from repro.core.similarity import compute_similarity_map
 from repro.core.sweep import sweep
 from repro.fast.similarity import fast_similarity_columns
 from repro.graph import generators
 from repro.obs import MemorySink, Tracer
 
-BACKENDS = ["serial", "thread", "process", "shm"]
+# Backends that run the chained engine (the only coarse engine that takes
+# dict pairs), so both pair formats run on each.
+BACKENDS = [b for b in backend_names() if "chained" in get_backend(b).engines]
 
 GRAPH_FAMILIES = {
     "triangle": lambda: generators.complete_graph(3),

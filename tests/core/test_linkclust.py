@@ -318,49 +318,20 @@ class TestShardedEngineRuns:
         ).run()
         assert same_partition(serial.edge_labels(), sharded.edge_labels())
 
-    def test_epsilon_run_matches_exact_partition(self, planted):
-        from repro.core.config import RunConfig
-
-        exact = LinkClustering(
-            planted, config=RunConfig(coarse=True, engine="sharded")
-        ).run()
-        slack = LinkClustering(
-            planted,
-            config=RunConfig(coarse=True, engine="sharded", epsilon=0.5),
-        ).run()
-        assert same_partition(exact.edge_labels(), slack.edge_labels())
-
-    def test_result_config_carries_engine_and_epsilon(self, triangle):
+    def test_result_config_carries_engine(self, triangle):
         from repro.core.config import RunConfig
 
         result = LinkClustering(
-            triangle,
-            config=RunConfig(coarse=True, engine="sharded", epsilon=0.25),
+            triangle, config=RunConfig(coarse=True, engine="sharded")
         ).run()
         assert result.config.engine == "sharded"
-        assert result.config.epsilon == 0.25
-        d = result.to_dict()["config"]
-        assert d["engine"] == "sharded"
-        assert d["epsilon"] == 0.25
+        assert result.to_dict()["config"]["engine"] == "sharded"
 
-    def test_config_round_trips_engine_and_epsilon(self):
+    def test_config_round_trips_engine(self):
         from repro.core.config import RunConfig
 
-        config = RunConfig(coarse=True, engine="sharded", epsilon=0.5)
+        config = RunConfig(coarse=True, engine="sharded")
         assert RunConfig.from_dict(config.to_dict()) == config
-
-    def test_epsilon_validation(self, triangle):
-        from repro.core.config import RunConfig
-        from repro.errors import ParameterError
-
-        with pytest.raises(ParameterError, match="epsilon"):
-            RunConfig(coarse=True, engine="sharded", epsilon=-0.5)
-        with pytest.raises(ParameterError, match="epsilon"):
-            RunConfig(coarse=True, engine="batch", epsilon=0.5)
-        with pytest.raises(ParameterError, match="epsilon"):
-            RunConfig(coarse=True, engine="sharded", epsilon="lots")
-        # epsilon 0 is the exact default and valid everywhere
-        RunConfig(engine="chained", epsilon=0.0)
 
     def test_sharded_requires_coarse(self, triangle):
         from repro.core.config import RunConfig
@@ -373,7 +344,7 @@ class TestShardedEngineRuns:
 class TestPositionalShimsRemoved:
     """The PR-4 deprecation shims completed their two-release window:
     positional settings and ``run(sim)`` are now hard TypeErrors, not
-    warnings (analysis rule API002 still flags such call sites)."""
+    warnings."""
 
     def test_positional_settings_rejected(self, weighted_caveman):
         with pytest.raises(TypeError, match="positional"):

@@ -35,16 +35,19 @@ class TestBuiltinTable:
         chained = get_engine("chained")
         assert not chained.requires_coarse
         assert chained.accepts_dict_pairs
-        assert not chained.supports_epsilon
         batch = get_engine("batch")
         assert batch.requires_coarse and not batch.accepts_dict_pairs
         sharded = get_engine("sharded")
-        assert sharded.supports_epsilon
+        assert sharded.requires_coarse and not sharded.accepts_dict_pairs
 
     def test_backend_capabilities(self):
         assert not get_backend("serial").parallel
         for name in ("thread", "process", "shm"):
             assert get_backend(name).parallel
+        for name in ("serial", "thread", "process"):
+            assert get_backend(name).engines == engine_names()
+        # The shared-memory arena has no chained MERGE path.
+        assert get_backend("shm").engines == ("batch", "sharded")
 
     def test_pair_format_concreteness(self):
         assert get_pair_format("dict").concrete
@@ -66,48 +69,61 @@ class TestValidation:
     def test_valid_defaults(self):
         validate_run_settings(
             backend="serial", engine="chained", pairs_format="auto",
-            coarse=False, epsilon=0.0, num_workers=1,
+            coarse=False, num_workers=1,
         )
 
     def test_engine_requires_coarse(self):
         with pytest.raises(ParameterError, match="requires coarse sweeping"):
             validate_run_settings(
                 backend="serial", engine="batch", pairs_format="auto",
-                coarse=False, epsilon=0.0, num_workers=1,
+                coarse=False, num_workers=1,
             )
 
     def test_engine_rejects_dict_pairs(self):
         with pytest.raises(ParameterError, match="columnar"):
             validate_run_settings(
                 backend="serial", engine="sharded", pairs_format="dict",
-                coarse=True, epsilon=0.0, num_workers=1,
+                coarse=True, num_workers=1,
             )
 
-    def test_epsilon_only_for_sharded(self):
-        with pytest.raises(ParameterError, match="epsilon"):
-            validate_run_settings(
-                backend="serial", engine="chained", pairs_format="auto",
-                coarse=True, epsilon=0.5, num_workers=1,
-            )
+    def test_coarse_chained_rejected_on_shm(self):
+        for workers in (1, 2):
+            with pytest.raises(ParameterError, match=r"'chained'.*'batch', 'sharded'"):
+                validate_run_settings(
+                    backend="shm", engine="chained", pairs_format="auto",
+                    coarse=True, num_workers=workers,
+                )
+        # The fine sweep ignores the backend's sweep engines.
+        validate_run_settings(
+            backend="shm", engine="chained", pairs_format="auto",
+            coarse=False, num_workers=2,
+        )
+        with pytest.raises(ParameterError, match="does not run on backend='shm'"):
+            RunConfig(coarse=True, engine="chained", backend="shm", num_workers=2)
+
+    def test_epsilon_is_an_unknown_config_key(self):
+        with pytest.raises(ParameterError, match="unknown RunConfig keys.*epsilon"):
+            RunConfig.from_dict({"coarse": True, "engine": "sharded", "epsilon": 0.5})
+        assert "epsilon" not in RunConfig().to_dict()
 
     def test_mmap_requires_coarse(self):
         with pytest.raises(ParameterError, match="requires coarse sweeping"):
             validate_run_settings(
                 backend="serial", engine="chained", pairs_format="mmap",
-                coarse=False, epsilon=0.0, num_workers=1,
+                coarse=False, num_workers=1,
             )
 
     def test_storage_knobs_require_mmap(self):
         with pytest.raises(ParameterError, match="storage_dir"):
             validate_run_settings(
                 backend="serial", engine="chained", pairs_format="columnar",
-                coarse=True, epsilon=0.0, num_workers=1,
+                coarse=True, num_workers=1,
                 storage_dir="/tmp/spill",
             )
         with pytest.raises(ParameterError, match="memory_budget_bytes"):
             validate_run_settings(
                 backend="serial", engine="chained", pairs_format="auto",
-                coarse=True, epsilon=0.0, num_workers=1,
+                coarse=True, num_workers=1,
                 memory_budget_bytes=1 << 20,
             )
 
@@ -116,7 +132,7 @@ class TestValidation:
             with pytest.raises(ParameterError, match="memory_budget_bytes"):
                 validate_run_settings(
                     backend="serial", engine="chained", pairs_format="mmap",
-                    coarse=True, epsilon=0.0, num_workers=1,
+                    coarse=True, num_workers=1,
                     memory_budget_bytes=bad,
                 )
 
@@ -124,7 +140,7 @@ class TestValidation:
         with pytest.raises(ParameterError, match="num_workers"):
             validate_run_settings(
                 backend="thread", engine="chained", pairs_format="auto",
-                coarse=True, epsilon=0.0, num_workers=0,
+                coarse=True, num_workers=0,
             )
 
     def test_runconfig_goes_through_registry(self):

@@ -4,9 +4,7 @@ Same contract the batch engine is held to: the sharded engine must be
 indistinguishable from the chained oracle at the dendrogram level —
 identical canonical labels at every level, identical epoch trace,
 identical level count — for every shard count, including the degenerate
-ones (one shard, more shards than edges).  The epsilon knob may only
-*defer* boundary merges, never lose them: final partitions must match
-the exact run.
+ones (one shard, more shards than edges).
 """
 
 from __future__ import annotations
@@ -109,44 +107,6 @@ class TestShardedKnobValidation:
             coarse_sweep(
                 triangle, params=CoarseParams(), engine="sharded", num_shards=0
             )
-
-    def test_epsilon_requires_sharded(self, triangle):
-        with pytest.raises(ParameterError, match="epsilon"):
-            coarse_sweep(
-                triangle, params=CoarseParams(), engine="chained", epsilon=0.5
-            )
-
-    def test_negative_epsilon_rejected(self, triangle):
-        with pytest.raises(ParameterError, match="epsilon"):
-            coarse_sweep(
-                triangle, params=CoarseParams(), engine="sharded", epsilon=-0.1
-            )
-
-
-class TestEpsilonDeferral:
-    """epsilon > 0 defers cross-shard merges within a (1 + epsilon)
-    cluster-count bound; the final partition must equal the exact run
-    (finalize_root=False keeps the comparison on the sweep itself)."""
-
-    PARAMS = CoarseParams(phi=1, delta0=3, finalize_root=False)
-
-    @pytest.mark.parametrize("epsilon", [0.1, 0.5, 1.0])
-    def test_final_partition_matches_exact(self, planted, epsilon):
-        exact = coarse_sweep(planted, params=self.PARAMS, engine="sharded")
-        slack = coarse_sweep(
-            planted, params=self.PARAMS, engine="sharded", epsilon=epsilon
-        )
-        assert same_partition(exact.edge_labels(), slack.edge_labels())
-
-    def test_zero_epsilon_is_exact_mode(self, planted):
-        params = CoarseParams(phi=2, delta0=8)
-        a = coarse_sweep(planted, params=params, engine="sharded")
-        b = coarse_sweep(planted, params=params, engine="sharded", epsilon=0.0)
-        assert a.num_levels == b.num_levels
-        for level in range(a.num_levels + 1):
-            assert a.dendrogram.labels_at_level(
-                level
-            ) == b.dendrogram.labels_at_level(level)
 
 
 @settings(max_examples=15, deadline=None)

@@ -9,26 +9,40 @@ from hypothesis import strategies as st
 
 from repro.cluster.validation import same_partition
 from repro.core.similarity import compute_similarity_map
+from repro.core.storage import make_pair_store
 from repro.core.sweep import sweep
-from repro.fast.sweep import fast_sweep, wedge_stream
+from repro.fast.similarity import fast_similarity_columns
+from repro.fast.sweep import fast_sweep
 from repro.graph import generators
 from repro.graph.graph import Graph
+
+
+def _wedge_stream(graph):
+    """The sweep's K2 wedge stream as its in-memory pair store holds it:
+    ``(e1, e2, per-wedge similarity, k1)`` (identity edge order)."""
+    store = make_pair_store(
+        graph,
+        fast_similarity_columns(graph),
+        np.arange(graph.num_edges, dtype=np.int64),
+    )
+    sims = np.repeat(store.sims, np.diff(store.offsets))
+    return store.c1, store.c2, sims, store.k1
 
 
 class TestWedgeStream:
     def test_length_is_k2(self, weighted_caveman):
         from repro.core.metrics import count_k1, count_k2
 
-        e1, e2, sims, k1 = wedge_stream(weighted_caveman)
+        e1, e2, sims, k1 = _wedge_stream(weighted_caveman)
         assert len(e1) == len(e2) == len(sims) == count_k2(weighted_caveman)
         assert k1 == count_k1(weighted_caveman)
 
     def test_sorted_non_increasing(self, weighted_caveman):
-        _, _, sims, _ = wedge_stream(weighted_caveman)
+        _, _, sims, _ = _wedge_stream(weighted_caveman)
         assert np.all(np.diff(sims) <= 1e-15)
 
     def test_pairs_are_incident(self, planted):
-        e1, e2, _, _ = wedge_stream(planted)
+        e1, e2, _, _ = _wedge_stream(planted)
         for a, b in zip(e1.tolist()[:200], e2.tolist()[:200]):
             u1, v1 = planted.edge_endpoints(a)
             u2, v2 = planted.edge_endpoints(b)
@@ -38,7 +52,7 @@ class TestWedgeStream:
         """Each wedge's similarity equals the reference pair score."""
         g = weighted_caveman
         sim = compute_similarity_map(g)
-        e1, e2, sims, _ = wedge_stream(g)
+        e1, e2, sims, _ = _wedge_stream(g)
         for a, b, s in zip(e1.tolist(), e2.tolist(), sims.tolist()):
             u1, v1 = g.edge_endpoints(a)
             u2, v2 = g.edge_endpoints(b)
@@ -48,8 +62,8 @@ class TestWedgeStream:
             assert s == pytest.approx(sim.similarity(i, j), rel=1e-9)
 
     def test_empty_graph(self):
-        e1, e2, sims, k1 = wedge_stream(Graph())
-        assert len(e1) == 0 and k1 == 0
+        e1, e2, sims, k1 = _wedge_stream(Graph())
+        assert len(e1) == 0 and len(sims) == 0 and k1 == 0
 
 
 class TestFastSweep:

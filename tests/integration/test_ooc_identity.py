@@ -9,6 +9,7 @@ import pytest
 from repro.core import LinkClustering
 from repro.core.coarse import CoarseParams
 from repro.core.config import RunConfig
+from repro.core.registry import get_backend
 from repro.graph import generators
 
 # Forces spilling on every graph below (well under one graph's pair
@@ -49,8 +50,15 @@ def test_serial_mmap_identity(graph_name, engine):
         assert _levels(result) == oracle, (graph_name, engine, budget)
 
 
-@pytest.mark.parametrize("backend", ["thread", "process", "shm"])
-@pytest.mark.parametrize("engine", ["chained", "batch", "sharded"])
+@pytest.mark.parametrize(
+    "backend, engine",
+    [
+        pytest.param(backend, engine, id=f"{engine}-{backend}")
+        for engine in ("chained", "batch", "sharded")
+        for backend in ("thread", "process", "shm")
+        if engine in get_backend(backend).engines
+    ],
+)
 def test_parallel_mmap_identity(backend, engine):
     graph = GRAPHS["caveman"]()
     oracle = _oracle(graph)
@@ -64,23 +72,6 @@ def test_parallel_mmap_identity(backend, engine):
     )
     result = LinkClustering(graph, config=cfg).run()
     assert _levels(result) == oracle, (backend, engine)
-
-
-def test_sharded_epsilon_final_partition_unchanged():
-    graph = GRAPHS["caveman"]()
-    base_cfg = RunConfig(
-        coarse=CoarseParams(), pairs_format="columnar", engine="sharded"
-    )
-    base = LinkClustering(graph, config=base_cfg).run()
-    cfg = RunConfig(
-        coarse=CoarseParams(),
-        pairs_format="mmap",
-        engine="sharded",
-        epsilon=0.2,
-        memory_budget_bytes=TINY_BUDGET,
-    )
-    result = LinkClustering(graph, config=cfg).run()
-    assert result.edge_labels() == base.edge_labels()
 
 
 def test_storage_dir_used_and_cleaned(tmp_path):

@@ -87,6 +87,7 @@ class TestRoundTrip:
         cfg = RunConfig(
             backend="shm",
             num_workers=4,
+            engine="batch",
             coarse=CoarseParams(gamma=3.0, phi=10, delta0=50.0),
             seed=7,
             vectorized=True,

@@ -33,7 +33,12 @@ def trace_names(backend, num_workers):
     graph = generators.caveman_graph(4, 5)
     sink = MemorySink()
     tracer = Tracer([sink])
-    config = RunConfig(backend=backend, num_workers=num_workers, coarse=COARSE)
+    # The shm arena runs the batch and sharded engines only; its batch
+    # trace must still read like every other backend's.
+    engine = "batch" if backend == "shm" else "chained"
+    config = RunConfig(
+        backend=backend, num_workers=num_workers, coarse=COARSE, engine=engine
+    )
     result = LinkClustering(graph, config=config, tracer=tracer).run()
     assert result.num_levels > 0
     names = set(sink.span_names())

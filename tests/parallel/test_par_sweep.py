@@ -14,12 +14,32 @@ from repro.errors import ParameterError
 from repro.fast.similarity import fast_similarity_columns
 from repro.graph import generators
 from repro.parallel.par_sweep import parallel_coarse_sweep
+from repro.parallel.runtime import ShmSweepRuntime
 
 
 class TestParallelCoarseSweep:
     def test_validation(self, triangle):
         with pytest.raises(ParameterError):
             parallel_coarse_sweep(triangle, num_workers=0)
+
+    def test_chained_on_shm_rejected_before_any_work(self, triangle, monkeypatch):
+        import repro.parallel.par_sweep as par_sweep_mod
+
+        def no_phase_one(graph):
+            raise AssertionError("Phase I ran before the engine check")
+
+        monkeypatch.setattr(par_sweep_mod, "fast_similarity_columns", no_phase_one)
+        match = r"engine='chained'.*'batch', 'sharded'"
+        with pytest.raises(ParameterError, match=match):
+            parallel_coarse_sweep(triangle, num_workers=2, backend="shm")
+        # A caller-owned runtime is checked by its backend name: a named
+        # error, not an AttributeError from a missing chained path.
+        with ShmSweepRuntime(2) as runtime:
+            with pytest.raises(ParameterError, match=match):
+                parallel_coarse_sweep(
+                    triangle, num_workers=2, backend=runtime, engine="chained"
+                )
+            assert runtime.arena is None  # no worker was spawned
 
     @pytest.mark.parametrize("workers", [1, 2, 3, 6])
     def test_same_partition_as_serial_coarse(self, weighted_caveman, workers):
@@ -74,7 +94,7 @@ class TestParallelCoarseSweep:
         params = CoarseParams(phi=2, delta0=10)
         serial = coarse_sweep(planted, sim, params)
         parallel = parallel_coarse_sweep(
-            planted, sim, params, num_workers=2, backend="shm"
+            planted, sim, params, num_workers=2, backend="shm", engine="batch"
         )
         assert same_partition(serial.edge_labels(), parallel.edge_labels())
         assert [(e.kind, e.level, e.xi) for e in serial.epochs] == [
@@ -134,8 +154,11 @@ class TestBatchEngineParallel:
     @pytest.mark.parametrize("backend", ["thread", "process", "shm"])
     def test_merges_match_chained(self, planted, backend):
         sim = compute_similarity_map(planted)
+        # The shm arena runs no chained engine; its reference is the
+        # chained parallel sweep on the serial backend.
         chained = parallel_coarse_sweep(
-            planted, sim, self.PARAMS, num_workers=3, backend=backend,
+            planted, sim, self.PARAMS, num_workers=3,
+            backend="serial" if backend == "shm" else backend,
             engine="chained",
         )
         batch = parallel_coarse_sweep(
@@ -244,8 +267,11 @@ class TestShardedEngineParallel:
     @pytest.mark.parametrize("backend", ["serial", "thread", "process", "shm"])
     def test_levels_match_chained(self, planted, backend):
         sim = compute_similarity_map(planted)
+        # The shm arena runs no chained engine; its reference is the
+        # chained parallel sweep on the serial backend.
         chained = parallel_coarse_sweep(
-            planted, sim, self.PARAMS, num_workers=3, backend=backend,
+            planted, sim, self.PARAMS, num_workers=3,
+            backend="serial" if backend == "shm" else backend,
             engine="chained",
         )
         sharded = parallel_coarse_sweep(
@@ -310,20 +336,6 @@ class TestShardedEngineParallel:
             engine="sharded",
         )
         assert same_partition(serial.edge_labels(), sharded.edge_labels())
-
-    @pytest.mark.parametrize("backend", ["thread", "shm"])
-    def test_epsilon_final_partition_matches_exact(self, planted, backend):
-        sim = compute_similarity_map(planted)
-        params = CoarseParams(phi=1, delta0=3, finalize_root=False)
-        exact = parallel_coarse_sweep(
-            planted, sim, params, num_workers=3, backend=backend,
-            engine="sharded",
-        )
-        slack = parallel_coarse_sweep(
-            planted, sim, params, num_workers=3, backend=backend,
-            engine="sharded", epsilon=0.5,
-        )
-        assert same_partition(exact.edge_labels(), slack.edge_labels())
 
 
 @settings(max_examples=10, deadline=None)

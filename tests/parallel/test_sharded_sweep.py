@@ -42,9 +42,7 @@ def random_edges(n, m, seed):
 
 def exact_merged(labels, i1, i2, num_shards):
     part = ShardedPartition.build(labels.size, num_shards)
-    merged, deferred, stats = sharded_components(labels, i1, i2, part)
-    assert deferred[0].size == 0 and deferred[1].size == 0
-    return merged, stats
+    return sharded_components(labels, i1, i2, part)
 
 
 class TestSolveShard:
@@ -229,39 +227,20 @@ class TestShardedComponents:
         labels = np.arange(n, dtype=np.int64)
         part = ShardedPartition.build(n, 16)
         assert part.num_shards == n
-        merged, _, _ = sharded_components(labels, i1, i2, part)
+        merged, _ = sharded_components(labels, i1, i2, part)
         assert np.array_equal(merged, batch_components(labels, i1, i2))
 
     def test_no_live_pairs_short_circuits(self):
         labels = np.array([0, 0, 1], dtype=np.int64)
         part = ShardedPartition.build(3, 2)
-        merged, deferred, stats = sharded_components(
+        merged, stats = sharded_components(
             labels,
             np.array([0, 1], dtype=np.int64),
             np.array([1, 0], dtype=np.int64),
             part,
         )
         assert merged.tolist() == [0, 0, 0]
-        assert deferred[0].size == 0
         assert stats == type(stats)(0, 0, 0, 0)
-
-    def test_defer_boundary_returns_unapplied_pairs(self):
-        n = 12
-        i1, i2 = random_edges(n, 24, seed=8)
-        labels = np.arange(n, dtype=np.int64)
-        part = ShardedPartition.build(n, 3)
-        exact, _, _ = sharded_components(labels, i1, i2, part)
-        partial, (da, db), stats = sharded_components(
-            labels, i1, i2, part, defer_boundary=True
-        )
-        assert da.size == stats.boundary_edges
-        assert stats.reconcile_rounds == 0
-        # Applying the deferred reconciliation reproduces the exact
-        # merge bitwise — deferral loses nothing.
-        keys, vals, _ = reconcile_labels(da, db)
-        healed = partial.copy()
-        apply_relabels(healed, keys, vals)
-        assert np.array_equal(healed, exact)
 
     def test_boundary_pairs_deduplicated(self):
         # The same cross-shard cluster pair 50 times must count once.
@@ -286,7 +265,7 @@ class TestShardedComponents:
                 for t in tasks
             ]
 
-        merged, _, stats = sharded_components(
+        merged, stats = sharded_components(
             labels, i1, i2, part, shard_solver=solver
         )
         assert np.array_equal(merged, batch_components(labels, i1, i2))
@@ -342,7 +321,7 @@ class TestShardedComponents:
         i1, i2 = random_edges(n, 60, seed=12)
         labels = np.arange(n, dtype=np.int64)
         part = ShardedPartition.build(n, 3)
-        _, _, stats = sharded_components(labels, i1, i2, part, tracer=tracer)
+        _, stats = sharded_components(labels, i1, i2, part, tracer=tracer)
         tracer.close()
         shard_spans = [
             s for s in sink.spans if s.name.startswith("sweep:shard[")
@@ -371,24 +350,3 @@ def test_property_sharded_equals_batch(n, m, seed, shards):
     merged, _ = exact_merged(labels, i1, i2, shards)
     assert np.array_equal(merged, expect)
     assert np.array_equal(merged[merged], merged)
-
-
-@settings(max_examples=25, deadline=None)
-@given(
-    n=st.integers(2, 40),
-    m=st.integers(1, 80),
-    seed=st.integers(0, 500),
-    shards=st.integers(2, 6),
-)
-def test_property_deferred_heals_to_exact(n, m, seed, shards):
-    i1, i2 = random_edges(n, m, seed)
-    labels = np.arange(n, dtype=np.int64)
-    part = ShardedPartition.build(n, shards)
-    exact, _, _ = sharded_components(labels, i1, i2, part)
-    partial, (da, db), _ = sharded_components(
-        labels, i1, i2, part, defer_boundary=True
-    )
-    keys, vals, _ = reconcile_labels(da, db)
-    healed = partial.copy()
-    apply_relabels(healed, keys, vals)
-    assert np.array_equal(healed, exact)

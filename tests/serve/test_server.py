@@ -7,6 +7,7 @@ and the daemon holds >= 2 jobs running concurrently over HTTP.
 
 from __future__ import annotations
 
+import http.client
 import json
 import threading
 from contextlib import contextmanager
@@ -38,7 +39,8 @@ BACKEND_CONFIGS = [
     {"backend": "serial", "coarse": True},
     {"backend": "thread", "num_workers": 2, "coarse": True},
     {"backend": "process", "num_workers": 2, "coarse": True},
-    {"backend": "shm", "num_workers": 2, "coarse": True},
+    # The shared-memory arena runs the batch and sharded engines only.
+    {"backend": "shm", "num_workers": 2, "coarse": True, "engine": "batch"},
 ]
 
 
@@ -121,6 +123,16 @@ class TestErrors:
         with pytest.raises(ServeError, match="400"):
             client.submit(edges=EDGES, config={"engine": "quantum"})
 
+    def test_chained_on_shm_is_400(self, client):
+        config = {"backend": "shm", "num_workers": 2, "coarse": True}
+        with pytest.raises(ServeError, match="400.*engine='chained'.*batch"):
+            client.submit(edges=EDGES, config=config)
+
+    def test_epsilon_key_is_400(self, client):
+        config = {"coarse": True, "engine": "sharded", "epsilon": 0.5}
+        with pytest.raises(ServeError, match="400.*unknown RunConfig keys.*epsilon"):
+            client.submit(edges=EDGES, config=config)
+
     def test_unknown_job_is_404(self, client):
         with pytest.raises(ServeError, match="404"):
             client.status("j999")
@@ -149,6 +161,43 @@ class TestErrors:
                     client.submit(edges=EDGES, config={"seed": 2})
             finally:
                 gate.release.set()
+
+
+class TestHostileBodies:
+    """Malformed request bodies get a 400 and leave the daemon serving."""
+
+    @staticmethod
+    def _post(port, headers, body=b""):
+        conn = http.client.HTTPConnection("127.0.0.1", port, timeout=10)
+        try:
+            conn.putrequest("POST", "/jobs")
+            for name, value in headers.items():
+                conn.putheader(name, value)
+            conn.endheaders()
+            if body:
+                conn.send(body)
+            response = conn.getresponse()
+            return response.status, json.loads(response.read())
+        finally:
+            conn.close()
+
+    @pytest.mark.parametrize(
+        "headers, body",
+        [
+            ({"Content-Length": "abc"}, b"{}"),
+            ({"Content-Length": "3"}, b"\x80{}"),
+            # A negative length used to read until the client hung up.
+            ({"Content-Length": "-5"}, b"{}"),
+        ],
+        ids=["non_integer_length", "undecodable_body", "negative_length"],
+    )
+    def test_bad_body_is_400_and_daemon_keeps_serving(self, headers, body):
+        with serving(JobManager(job_workers=1), port=0) as server:
+            port = server.server_address[1]
+            status, payload = self._post(port, headers, body)
+            assert status == 400
+            assert "Content-Length" in payload["error"] or "JSON" in payload["error"]
+            assert ServeClient(port=port).health()["ok"]
 
 
 class _GateRun:

@@ -158,25 +158,28 @@ class TestCluster:
         sharded_cut = [ln for ln in sharded_out.splitlines() if "best cut" in ln]
         assert chained_cut == sharded_cut
 
-    def test_sharded_engine_with_epsilon(self, graph_file, capsys):
-        code = main(
-            [
-                "cluster", str(graph_file), "--int-labels",
-                "--coarse", "--engine", "sharded", "--epsilon", "0.5",
-            ]
-        )
-        assert code == 0
-        assert "best cut" in capsys.readouterr().out
+    def test_epsilon_flag_rejected(self, graph_file, capsys):
+        for engine in ("sharded", "batch"):
+            with pytest.raises(SystemExit) as exc:
+                main(
+                    [
+                        "cluster", str(graph_file), "--int-labels",
+                        "--coarse", "--engine", engine, "--epsilon", "0.5",
+                    ]
+                )
+            assert exc.value.code == 2
+            assert "--epsilon" in capsys.readouterr().err
 
-    def test_epsilon_without_sharded_rejected(self, graph_file, capsys):
+    def test_coarse_chained_on_shm_rejected(self, graph_file, capsys):
         code = main(
             [
                 "cluster", str(graph_file), "--int-labels",
-                "--coarse", "--engine", "batch", "--epsilon", "0.5",
+                "--coarse", "--backend", "shm", "--workers", "2",
             ]
         )
         assert code == 2
-        assert "epsilon" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "engine='chained'" in err and "'batch', 'sharded'" in err
 
     def test_sharded_engine_without_coarse_rejected(self, graph_file, capsys):
         code = main(
@@ -228,14 +231,7 @@ class TestRunFlags:
     def test_engine_defaults_to_chained(self):
         args = build_parser().parse_args(["cluster", "g.txt"])
         assert args.engine == "chained"
-        assert args.epsilon == 0.0
-
-    def test_epsilon_parsed_as_float(self):
-        args = build_parser().parse_args(
-            ["cluster", "g.txt", "--engine", "sharded", "--epsilon", "0.25"]
-        )
-        assert args.engine == "sharded"
-        assert args.epsilon == 0.25
+        assert not hasattr(args, "epsilon")
 
     def test_storage_flags_parsed(self):
         args = build_parser().parse_args(
