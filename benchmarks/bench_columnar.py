@@ -1,6 +1,6 @@
 """Dict vs columnar similarity pipeline.
 
-Three sections, all written into ``benchmarks/results/columnar.json``:
+Two sections, both written into ``benchmarks/results/columnar.json``:
 
 - **init + sort** over the Fig. 5 association-graph workload: the
   columnar path (``fast_similarity_columns`` + one lexsort) against the
@@ -12,9 +12,6 @@ Three sections, all written into ``benchmarks/results/columnar.json``:
   shm runtime publishes the sorted pair columns to shared memory once
   and dispatches bare index ranges — the arena counters prove no
   per-chunk pair data crossed the task queue.
-- **auto dispatch**: graphs below ``AUTO_COLUMNAR_MIN_K2`` resolve to
-  the dict path, so ``pairs_format="auto"`` is never slower than
-  pure-Python on small inputs.
 """
 
 from __future__ import annotations
@@ -22,11 +19,9 @@ from __future__ import annotations
 from repro.bench.datasets import association_graph
 from repro.bench.runner import ResultTable, save_json
 from repro.bench.timing import time_call
-from repro.bench.workloads import fig5_workload, small_graph_corpus
+from repro.bench.workloads import fig5_workload
 from repro.cluster.validation import same_partition
-from repro.core.config import AUTO_COLUMNAR_MIN_K2
 from repro.core.coarse import coarse_sweep
-from repro.core.linkclust import LinkClustering
 from repro.core.similarity import compute_similarity_map
 from repro.fast.similarity import fast_similarity_columns
 from repro.parallel.par_sweep import parallel_coarse_sweep
@@ -114,46 +109,12 @@ def test_columnar_pipeline(benchmark, results_dir, preset):
     )
     shm_table.show()
 
-    # -- section 3: auto is never slower than pure-Python when small ----
-    auto_table = ResultTable(
-        "auto dispatch on small graphs",
-        ["graph", "k2", "resolved", "dict_seconds", "auto_seconds", "ratio"],
-    )
-    for name, make in sorted(small_graph_corpus().items()):
-        graph = make()
-        lc = LinkClustering(graph, pairs_format="auto")
-        resolved = lc.resolved_pairs_format()
-        assert resolved == "dict", (name, resolved)
-        _, t_dict = time_call(
-            lambda g=graph: LinkClustering(g, pairs_format="dict").run(),
-            repeat=REPEAT + 2,
-        )
-        _, t_auto = time_call(
-            lambda g=graph: LinkClustering(g, pairs_format="auto").run(),
-            repeat=REPEAT + 2,
-        )
-        ratio = t_auto.minimum / t_dict.minimum
-        auto_table.add_row(
-            graph=name,
-            k2=compute_similarity_map(graph).k2,
-            resolved=resolved,
-            dict_seconds=round(t_dict.minimum, 5),
-            auto_seconds=round(t_auto.minimum, 5),
-            ratio=round(ratio, 3),
-        )
-        # Identical code path after dispatch; the margin only absorbs
-        # timer noise on sub-millisecond runs.
-        assert ratio <= 1.5, (name, ratio)
-    auto_table.show()
-
     save_json(
         {
             "title": "Columnar similarity pipeline",
             "scale": preset.name,
-            "auto_columnar_min_k2": AUTO_COLUMNAR_MIN_K2,
             "init_sort": init_table.to_dict(),
             "shm_zero_copy": shm_table.to_dict(),
-            "auto_small_graphs": auto_table.to_dict(),
         },
         results_dir / "columnar.json",
     )

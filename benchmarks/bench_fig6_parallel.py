@@ -24,7 +24,7 @@ from repro.bench.experiments import (
 )
 from repro.bench.runner import save_json
 from repro.core.similarity import compute_similarity_map
-from repro.parallel.par_init import parallel_similarity_map
+from repro.parallel.par_init import parallel_similarity_columns
 from repro.parallel.par_sweep import parallel_coarse_sweep
 
 
@@ -48,7 +48,7 @@ def test_fig6_1_init_speedup(benchmark, preset, results_dir):
     alpha = preset.alphas[len(preset.alphas) // 2]
     graph = association_graph(alpha, preset)
     benchmark.pedantic(
-        parallel_similarity_map,
+        parallel_similarity_columns,
         args=(graph,),
         kwargs={"num_workers": 4, "backend": "thread"},
         rounds=1,

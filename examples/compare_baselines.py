@@ -19,7 +19,7 @@ from repro.cluster.validation import same_partition
 from repro.core.coarse import CoarseParams, coarse_sweep
 from repro.core.similarity import compute_similarity_map
 from repro.core.sweep import sweep
-from repro.fast.sweep import fast_sweep
+from repro.fast.similarity import fast_similarity_columns
 from repro.graph import generators
 
 
@@ -54,7 +54,9 @@ def main() -> None:
     t_coarse = time.perf_counter() - start
 
     start = time.perf_counter()
-    runs["fast (vectorized)"] = fast_sweep(graph).edge_labels()
+    runs["fast (vectorized)"] = sweep(
+        graph, fast_similarity_columns(graph)
+    ).edge_labels()
     t_fast = time.perf_counter() - start
 
     start = time.perf_counter()

@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Parallel execution: backends, correctness, and modeled scaling.
 
-Demonstrates Section VI: the parallel initialization (per-worker maps +
-hierarchical merge) and the parallel coarse sweep (T copies of array C +
+Demonstrates Section VI: the parallel initialization (per-worker wedge
+partials over a round-robin vertex partition, combined in one sort) and the parallel coarse sweep (T copies of array C +
 the corrected array-merge scheme), on all three execution backends, plus
 the work-model speedup curves that reproduce Figure 6's shape.
 
@@ -19,7 +19,7 @@ from repro.parallel import (
     InitWorkModel,
     SweepWorkModel,
     parallel_coarse_sweep,
-    parallel_similarity_map,
+    parallel_similarity_columns,
 )
 
 
@@ -40,7 +40,7 @@ def main() -> None:
 
     for backend in ("thread", "process"):
         t0 = time.perf_counter()
-        par_sim = parallel_similarity_map(graph, num_workers=4, backend=backend)
+        par_sim = parallel_similarity_columns(graph, num_workers=4, backend=backend)
         elapsed = time.perf_counter() - t0
         match = par_sim.k1 == serial_sim.k1 and par_sim.k2 == serial_sim.k2
         print(

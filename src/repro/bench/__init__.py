@@ -39,7 +39,6 @@ from repro.bench.workloads import (
     DEFAULT_CHUNK_WORKLOAD,
     Fig5Workload,
     fig5_workload,
-    small_graph_corpus,
 )
 
 __all__ = [
@@ -78,7 +77,6 @@ __all__ = [
     "phi_sensitivity",
     "runtime_spawn_comparison",
     "save_json",
-    "small_graph_corpus",
     "sparkline",
     "time_call",
 ]

@@ -11,7 +11,7 @@ the same workload when the recipe evolves.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, NamedTuple
+from typing import Dict, Optional, NamedTuple
 
 from repro.bench.datasets import ScalePreset, association_graph, current_scale
 from repro.bench.experiments import coarse_params_for
@@ -22,7 +22,6 @@ from repro.bench.parallel_runtime import make_chunk_workload
 from repro.core.coarse import CoarseParams
 from repro.core.simcolumns import SimilarityColumns
 from repro.fast.similarity import fast_similarity_columns
-from repro.graph import generators
 from repro.graph.graph import Graph
 
 __all__ = [
@@ -30,7 +29,6 @@ __all__ = [
     "Fig5Workload",
     "fig5_workload",
     "make_chunk_workload",
-    "small_graph_corpus",
 ]
 
 #: Dimensions of the many-chunk workload the runtime benchmarks drive
@@ -75,21 +73,3 @@ def fig5_workload(
         cols = cols.sort_pairs()
     params = coarse_params_for(graph, k2=cols.k2)
     return Fig5Workload(alpha=alpha, graph=graph, cols=cols, params=params)
-
-
-def small_graph_corpus() -> Dict[str, Callable[[], Graph]]:
-    """Named small-graph factories, all far below ``AUTO_COLUMNAR_MIN_K2``.
-
-    Used by the auto-dispatch benchmark (where the dict pipeline must
-    keep winning) and handy anywhere a deterministic sub-millisecond
-    workload is needed.
-    """
-    return {
-        "caveman_2x4": lambda: generators.caveman_graph(
-            2, 4, weight=generators.random_weights(seed=1)
-        ),
-        "caveman_3x5": lambda: generators.caveman_graph(
-            3, 5, weight=generators.random_weights(seed=1)
-        ),
-        "grid_5x5": lambda: generators.grid_graph(5, 5),
-    }

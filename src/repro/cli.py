@@ -82,11 +82,9 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--pairs-format",
         choices=pair_format_names(),
-        default="auto",
-        help="map M representation: dict (pure-python oracle), columnar "
-        "(numpy structure-of-arrays), mmap (out-of-core memory-mapped "
-        "store; requires --coarse), or auto (size-based dispatch, "
-        "never mmap)",
+        default="columnar",
+        help="map M representation: columnar (numpy structure-of-arrays) "
+        "or mmap (out-of-core memory-mapped store; requires --coarse)",
     )
     parser.add_argument(
         "--storage-dir",

@@ -15,12 +15,7 @@ from repro.core.coarse import (
     coarse_sweep,
     fixed_chunk_sweep,
 )
-from repro.core.config import (
-    AUTO_COLUMNAR_MIN_K2,
-    BACKENDS,
-    PAIR_FORMATS,
-    RunConfig,
-)
+from repro.core.config import BACKENDS, PAIR_FORMATS, RunConfig
 from repro.core.cancel import CancelToken
 from repro.core.linkclust import (
     RESULT_SCHEMA_VERSION,
@@ -66,7 +61,6 @@ from repro.core.similarity import (
 from repro.core.sweep import SweepResult, build_edge_index, sweep
 
 __all__ = [
-    "AUTO_COLUMNAR_MIN_K2",
     "BACKENDS",
     "BackendSpec",
     "CancelToken",

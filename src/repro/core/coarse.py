@@ -275,7 +275,7 @@ class _CoarseSweeper:
         if num_shards is not None and num_shards < 1:
             raise ParameterError(f"num_shards must be >= 1, got {num_shards}")
         if isinstance(similarity_map, SimilarityMap) and (
-            not engine_spec.accepts_dict_pairs
+            engine != "chained"
             or self.per_worker
             or (storage is not None and storage.kind == "mmap")
         ):

@@ -54,17 +54,14 @@ class EngineSpec:
     """One sweep merge engine and its requirements.
 
     ``requires_coarse`` — the engine only exists as a chunked (coarse)
-    sweep; ``accepts_dict_pairs`` — whether the pure-Python dict
-    pipeline can feed it (engines that consume the flat columnar wedge
-    stream set this False); ``chunk_applier`` — the
-    name of the ``_CoarseSweeper`` method that applies one chunk's merge
-    stream (``None`` means the default chained MERGE path).
+    sweep; ``chunk_applier`` — the name of the ``_CoarseSweeper`` method
+    that applies one chunk's merge stream (``None`` means the default
+    chained MERGE path).
     """
 
     name: str
     summary: str
     requires_coarse: bool = False
-    accepts_dict_pairs: bool = True
     chunk_applier: Optional[str] = None
 
 
@@ -89,15 +86,13 @@ class BackendSpec:
 
 @dataclass(frozen=True)
 class PairFormatSpec:
-    """One representation of map M.  ``concrete`` is False for formats
-    that resolve to another at run time (``"auto"``);
-    ``requires_coarse`` marks formats only the chunked sweep can
-    consume (the out-of-core store streams bounded windows, which the
-    one-merge-per-level fine sweep cannot do)."""
+    """One representation of map M a run carries.  ``requires_coarse``
+    marks formats only the chunked sweep can consume (the out-of-core
+    store streams bounded windows, which the one-merge-per-level fine
+    sweep cannot do)."""
 
     name: str
     summary: str
-    concrete: bool = True
     requires_coarse: bool = False
 
 
@@ -201,7 +196,6 @@ register_engine(
         name="batch",
         summary="per-level vectorized connected-components rounds",
         requires_coarse=True,
-        accepts_dict_pairs=False,
         chunk_applier="_apply_chunk_batch",
     )
 )
@@ -210,7 +204,6 @@ register_engine(
         name="sharded",
         summary="owner-computes C shards with host boundary reconciliation",
         requires_coarse=True,
-        accepts_dict_pairs=False,
         chunk_applier="_apply_chunk_sharded",
     )
 )
@@ -248,21 +241,8 @@ register_backend(
 
 register_pair_format(
     PairFormatSpec(
-        name="dict",
-        summary="pure-Python SimilarityMap oracle",
-    )
-)
-register_pair_format(
-    PairFormatSpec(
         name="columnar",
         summary="flat numpy SimilarityColumns (vectorized, shm-transportable)",
-    )
-)
-register_pair_format(
-    PairFormatSpec(
-        name="auto",
-        summary="columnar above the measured K2 crossover, dict below",
-        concrete=False,
     )
 )
 register_pair_format(
@@ -335,15 +315,6 @@ def validate_run_settings(
         raise ParameterError(
             f"engine={engine!r} requires coarse sweeping "
             "(pass coarse=True or CoarseParams)"
-        )
-    if not engine_spec.accepts_dict_pairs and pairs_format == "dict":
-        formats = tuple(
-            n for n in pair_format_names() if n != "dict"
-        )
-        raise ParameterError(
-            f"engine={engine!r} requires the columnar pair "
-            "format; pairs_format='dict' is not supported "
-            f"(use one of {formats})"
         )
 
 

@@ -22,6 +22,7 @@ __all__ = [
     "RunCancelledError",
     "ServeError",
     "QueueFullError",
+    "RequestTooLargeError",
 ]
 
 
@@ -123,4 +124,13 @@ class QueueFullError(ServeError):
 
     The daemon bounds its backlog; clients should retry later (the
     HTTP layer maps this to a 429 response).
+    """
+
+
+class RequestTooLargeError(ServeError):
+    """A request declared a body larger than the daemon accepts.
+
+    The daemon rejects it from the ``Content-Length`` header alone,
+    without reading the body (the HTTP layer maps this to a 413
+    response and closes the connection).
     """

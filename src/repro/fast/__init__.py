@@ -1,4 +1,4 @@
-"""Optional vectorized fast paths (numpy / scipy.sparse).
+"""Vectorized fast paths (numpy).
 
 CPython's interpreter overhead — not the algorithms — limits the
 pure-Python reference implementation; this subpackage provides
@@ -12,20 +12,12 @@ from repro.fast.batch_sweep import (
     batch_join_rows,
     compress_labels,
 )
-from repro.fast.similarity import (
-    adjacency_matrix,
-    fast_similarity_columns,
-    fast_similarity_map,
-)
-from repro.fast.sweep import fast_sweep
+from repro.fast.similarity import fast_similarity_columns
 
 __all__ = [
-    "adjacency_matrix",
     "batch_components",
     "batch_join_rows",
     "compress_labels",
     "fast_association_graph",
     "fast_similarity_columns",
-    "fast_similarity_map",
-    "fast_sweep",
 ]

@@ -69,7 +69,6 @@ SPANS: FrozenSet[str] = frozenset(
 # Point-in-time facts attached to the current span.
 EVENTS: FrozenSet[str] = frozenset(
     {
-        "run:pairs_format",
         "sweep:level",
         "sweep:jump",
         # Serving daemon: one event per job state transition

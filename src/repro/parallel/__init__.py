@@ -6,7 +6,7 @@ from repro.parallel.merge_arrays import (
     merge_chain_into,
     merge_chain_into_flawed,
 )
-from repro.parallel.par_init import hierarchical_map_merge, parallel_similarity_map
+from repro.parallel.par_init import parallel_similarity_columns
 from repro.parallel.par_sweep import parallel_coarse_sweep
 from repro.parallel.calibrate import calibrate_cost_model
 from repro.parallel.runtime import (
@@ -69,14 +69,13 @@ __all__ = [
     "ThreadBackend",
     "contiguous_partition",
     "get_backend",
-    "hierarchical_map_merge",
     "hierarchical_merge",
     "join_partition_labels",
     "lpt_partition",
     "merge_chain_into",
     "merge_chain_into_flawed",
     "parallel_coarse_sweep",
-    "parallel_similarity_map",
+    "parallel_similarity_columns",
     "partition_range",
     "round_robin_partition",
     "speedup_curve",

@@ -26,7 +26,12 @@ import socket
 import time
 from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
 
-from repro.errors import ParameterError, QueueFullError, ServeError
+from repro.errors import (
+    ParameterError,
+    QueueFullError,
+    RequestTooLargeError,
+    ServeError,
+)
 from repro.serve.protocol import TERMINAL_STATES
 
 __all__ = ["ServeClient"]
@@ -104,6 +109,8 @@ class ServeClient:
         if status >= 400:
             message = parsed.get("error") if isinstance(parsed, dict) else None
             message = message or f"HTTP {status}"
+            if status == 413:
+                raise RequestTooLargeError(message)
             if status == 429:
                 raise QueueFullError(message)
             raise ServeError(f"{method} {path} -> {status}: {message}")

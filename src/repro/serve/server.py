@@ -18,7 +18,9 @@ POST   ``/jobs/<id>/cancel``         trip the job's cancel token
 ====== ============================ =======================================
 
 Error mapping: bad submissions (:class:`~repro.errors.ParameterError`)
-→ 400, unknown jobs → 404, not-done results → 409, a full queue
+→ 400, unknown jobs → 404, not-done results → 409, a body declared
+larger than :data:`MAX_BODY_BYTES`
+(:class:`~repro.errors.RequestTooLargeError`) → 413, a full queue
 (:class:`~repro.errors.QueueFullError`) → 429, other
 :class:`~repro.errors.ServeError` → 400.
 
@@ -40,11 +42,25 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, Optional, Tuple, Union
 from urllib.parse import parse_qs, urlsplit
 
-from repro.errors import ParameterError, QueueFullError, ServeError
+from repro.errors import (
+    ParameterError,
+    QueueFullError,
+    RequestTooLargeError,
+    ServeError,
+)
 from repro.serve.jobs import Job, JobManager
 from repro.serve.protocol import JOB_DONE, PROTOCOL_VERSION, parse_submission
 
-__all__ = ["ClusterHTTPServer", "UnixClusterHTTPServer", "make_server"]
+__all__ = [
+    "MAX_BODY_BYTES",
+    "ClusterHTTPServer",
+    "UnixClusterHTTPServer",
+    "make_server",
+]
+
+#: Largest request body the daemon reads (64 MiB).  A request declaring
+#: more gets a 413 before any of its body is read.
+MAX_BODY_BYTES = 64 * 1024 * 1024
 
 #: Default per-wait bound (seconds) for the events follow stream; a gap
 #: longer than this ends the stream early (the client can resume with
@@ -76,6 +92,8 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_response(code)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
+        if self.close_connection:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
 
@@ -94,6 +112,13 @@ class _Handler(BaseHTTPRequestHandler):
             self.close_connection = True
             raise ParameterError(
                 f"Content-Length must be a non-negative integer, got {header!r}"
+            )
+        if length > MAX_BODY_BYTES:
+            # The unread body would be parsed as the next request.
+            self.close_connection = True
+            raise RequestTooLargeError(
+                f"request body of {length} bytes exceeds the "
+                f"{MAX_BODY_BYTES}-byte limit"
             )
         raw = self.rfile.read(length) if length else b""
         if not raw:
@@ -155,6 +180,8 @@ class _Handler(BaseHTTPRequestHandler):
                     self._send_json(200, job.status())
             else:
                 self._send_error_json(404, f"no such endpoint: POST {url.path}")
+        except RequestTooLargeError as exc:
+            self._send_error_json(413, str(exc))
         except QueueFullError as exc:
             self._send_error_json(429, str(exc))
         except (ParameterError, ServeError) as exc:

@@ -8,10 +8,8 @@ from repro.bench.workloads import (
     Fig5Workload,
     fig5_workload,
     make_chunk_workload,
-    small_graph_corpus,
 )
 from repro.core.coarse import CoarseParams, coarse_sweep
-from repro.core.config import AUTO_COLUMNAR_MIN_K2
 
 TINY = PRESETS["tiny"]
 
@@ -66,20 +64,3 @@ class TestChunkWorkload:
         assert all(
             0 <= a < n and 0 <= b < n for c in chunks for a, b in c
         )
-
-
-class TestSmallGraphCorpus:
-    def test_factories_build_small_graphs(self):
-        corpus = small_graph_corpus()
-        assert set(corpus) == {"caveman_2x4", "caveman_3x5", "grid_5x5"}
-        for name, make in corpus.items():
-            graph = make()
-            assert graph.num_edges > 0, name
-            # "Small" means the auto dispatcher keeps the dict path.
-            assert graph.num_edges**2 < AUTO_COLUMNAR_MIN_K2, name
-
-    def test_factories_deterministic(self):
-        corpus = small_graph_corpus()
-        for name, make in corpus.items():
-            a, b = make(), make()
-            assert sorted(a.edges()) == sorted(b.edges()), name

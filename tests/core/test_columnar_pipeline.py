@@ -1,9 +1,10 @@
-"""Dict and columnar pipelines agree end to end, on every backend.
+"""The columnar pipeline agrees with the dict oracle end to end.
 
 The columnar representation must be a pure performance change: for the
-same graph, the dict and columnar runs must produce identical
-dendrograms — per-level cluster counts and final edge labels — on the
-serial driver and on every parallel backend (thread / process / shm).
+same graph, a columnar run must produce the dendrogram of the dict
+oracle (``compute_similarity_map`` swept by ``sweep``/``coarse_sweep``)
+— per-level cluster counts and final edge labels — on the serial
+driver and on every parallel backend that runs the chained engine.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import pytest
 
 from repro.cluster.validation import same_partition
 from repro.core.coarse import CoarseParams, coarse_sweep
-from repro.core.config import AUTO_COLUMNAR_MIN_K2, RunConfig
+from repro.core.config import RunConfig
 from repro.core.linkclust import LinkClustering
 from repro.core.registry import backend_names, get_backend
 from repro.core.similarity import compute_similarity_map
@@ -21,8 +22,7 @@ from repro.fast.similarity import fast_similarity_columns
 from repro.graph import generators
 from repro.obs import MemorySink, Tracer
 
-# Backends that run the chained engine (the only coarse engine that takes
-# dict pairs), so both pair formats run on each.
+# Backends that run the chained engine, the oracle's coarse engine.
 BACKENDS = [b for b in backend_names() if "chained" in get_backend(b).engines]
 
 GRAPH_FAMILIES = {
@@ -100,47 +100,24 @@ class TestCrossBackendDeterminism:
     def test_columnar_matches_dict_on_backend(self, backend):
         g = generators.caveman_graph(3, 5, weight=generators.random_weights(seed=11))
         workers = 1 if backend == "serial" else 3
-        results = {}
-        for fmt in ("dict", "columnar"):
-            config = RunConfig(
-                backend=backend,
-                num_workers=workers,
-                coarse=CoarseParams(gamma=2.0, phi=10, delta0=6.0),
-                pairs_format=fmt,
-            )
-            results[fmt] = LinkClustering(g, config=config).run()
-        assert_same_dendrogram(
-            results["dict"].dendrogram, results["columnar"].dendrogram
+        params = CoarseParams(gamma=2.0, phi=10, delta0=6.0)
+        oracle = coarse_sweep(g, compute_similarity_map(g), params=params)
+        config = RunConfig(
+            backend=backend,
+            num_workers=workers,
+            coarse=params,
+            pairs_format="columnar",
         )
-        assert results["dict"].pairs_format == "dict"
-        assert results["columnar"].pairs_format == "columnar"
+        result = LinkClustering(g, config=config).run()
+        assert_same_dendrogram(oracle.dendrogram, result.dendrogram)
+        assert result.pairs_format == "columnar"
 
 
-class TestAutoDispatch:
-    def test_small_graph_resolves_to_dict(self, triangle):
-        lc = LinkClustering(triangle, pairs_format="auto")
-        assert lc.resolved_pairs_format() == "dict"
-
-    def test_large_k2_resolves_to_columnar(self):
-        # One hub of degree d contributes d*(d-1)/2 to the K2 estimate.
-        d = 1
-        while d * (d - 1) // 2 < AUTO_COLUMNAR_MIN_K2:
-            d += 1
-        g = generators.star_graph(d)
-        lc = LinkClustering(g, pairs_format="auto")
-        assert lc.resolved_pairs_format() == "columnar"
-
+class TestPairFormats:
     def test_explicit_formats_pass_through(self, triangle):
-        assert (
-            LinkClustering(triangle, pairs_format="dict").resolved_pairs_format()
-            == "dict"
-        )
-        assert (
-            LinkClustering(
-                triangle, pairs_format="columnar"
-            ).resolved_pairs_format()
-            == "columnar"
-        )
+        assert LinkClustering(triangle).run().pairs_format == "columnar"
+        mmap = LinkClustering(triangle, coarse=True, pairs_format="mmap").run()
+        assert mmap.pairs_format == "mmap"
 
     def test_invalid_format_rejected(self, triangle):
         from repro.errors import ParameterError
@@ -157,26 +134,23 @@ class TestObservability:
         ).run()
         return result, sink
 
-    def test_pairs_format_event_emitted(self, weighted_caveman):
+    def test_run_span_reports_pairs_format(self, weighted_caveman):
         _result, sink = self.run_traced(weighted_caveman, "columnar")
-        events = [e for e in sink.events if e.name == "run:pairs_format"]
-        assert len(events) == 1
-        assert events[0].attrs["format"] == "columnar"
-        assert events[0].attrs["requested"] == "columnar"
-
-    def test_auto_records_requested_format(self, triangle):
-        _result, sink = self.run_traced(triangle, "auto")
-        (event,) = [e for e in sink.events if e.name == "run:pairs_format"]
-        assert event.attrs == {"format": "dict", "requested": "auto"}
+        (run,) = [s for s in sink.spans if s.name == "run"]
+        assert run.attrs["pairs_format"] == "columnar"
 
     def test_span_names_identical_across_formats(self, weighted_caveman):
-        _r1, dict_sink = self.run_traced(weighted_caveman, "dict")
-        _r2, col_sink = self.run_traced(weighted_caveman, "columnar")
-        # The columnar pipeline reports through the same span vocabulary
-        # the dashboards already consume.
+        g = weighted_caveman
+        dict_sink, col_sink = MemorySink(), MemorySink()
+        dict_tracer, col_tracer = Tracer([dict_sink]), Tracer([col_sink])
+        sweep(g, compute_similarity_map(g, tracer=dict_tracer), tracer=dict_tracer)
+        sweep(g, fast_similarity_columns(g, tracer=col_tracer), tracer=col_tracer)
+        # The columnar pipeline reports Phase I and the sweep through the
+        # same span vocabulary as the dict oracle.
         assert dict_sink.span_names() == col_sink.span_names()
+        _r, run_sink = self.run_traced(g, "columnar")
         for name in ("init:pass1", "init:pass3", "phase:sort", "phase:sweep"):
-            assert name in col_sink.span_names()
+            assert name in run_sink.span_names()
 
     def test_result_to_dict_reports_format(self, weighted_caveman):
         result, _sink = self.run_traced(weighted_caveman, "columnar")

@@ -107,19 +107,21 @@ class TestParallelRuns:
         ).run()
         assert same_partition(serial.edge_labels(), parallel.edge_labels())
 
-    def test_vectorized_matches_serial(self, planted):
-        serial = LinkClustering(planted).run()
-        vectorized = LinkClustering(planted, vectorized=True).run()
-        assert same_partition(serial.edge_labels(), vectorized.edge_labels())
-        assert serial.k1 == vectorized.k1
-        assert serial.k2 == vectorized.k2
-
     def test_shared_similarity_map(self, planted):
         lc = LinkClustering(planted)
         sim = lc.compute_similarities()
         r1 = lc.run(similarity_map=sim)
         r2 = lc.run()
         assert r1.edge_labels() == r2.edge_labels()
+
+    def test_dict_similarity_map_rejected(self, planted):
+        from repro.core.similarity import compute_similarity_map
+
+        lc = LinkClustering(planted)
+        with pytest.raises(
+            ParameterError, match="SimilarityColumns.from_similarity_map"
+        ):
+            lc.run(similarity_map=compute_similarity_map(planted))
 
 
 class TestConfigApi:
@@ -227,15 +229,6 @@ class TestConfigApi:
 
 
 class TestBatchEngineRuns:
-    def test_auto_pairs_format_forced_columnar(self, triangle):
-        from repro.core.config import RunConfig
-
-        lc = LinkClustering(
-            triangle, config=RunConfig(coarse=True, engine="batch")
-        )
-        assert lc.pairs_format == "auto"
-        assert lc.resolved_pairs_format() == "columnar"
-
     def test_batch_run_matches_chained(self, weighted_caveman):
         from repro.core.config import RunConfig
 
@@ -278,15 +271,6 @@ class TestBatchEngineRuns:
 
 
 class TestShardedEngineRuns:
-    def test_auto_pairs_format_forced_columnar(self, triangle):
-        from repro.core.config import RunConfig
-
-        lc = LinkClustering(
-            triangle, config=RunConfig(coarse=True, engine="sharded")
-        )
-        assert lc.pairs_format == "auto"
-        assert lc.resolved_pairs_format() == "columnar"
-
     def test_sharded_run_matches_chained(self, weighted_caveman):
         from repro.core.config import RunConfig
 

@@ -29,16 +29,12 @@ class TestBuiltinTable:
     def test_builtin_names(self):
         assert backend_names() == ("serial", "thread", "process", "shm")
         assert engine_names() == ("chained", "batch", "sharded")
-        assert pair_format_names() == ("dict", "columnar", "auto", "mmap")
+        assert pair_format_names() == ("columnar", "mmap")
 
     def test_engine_capabilities(self):
-        chained = get_engine("chained")
-        assert not chained.requires_coarse
-        assert chained.accepts_dict_pairs
-        batch = get_engine("batch")
-        assert batch.requires_coarse and not batch.accepts_dict_pairs
-        sharded = get_engine("sharded")
-        assert sharded.requires_coarse and not sharded.accepts_dict_pairs
+        assert not get_engine("chained").requires_coarse
+        assert get_engine("batch").requires_coarse
+        assert get_engine("sharded").requires_coarse
 
     def test_backend_capabilities(self):
         assert not get_backend("serial").parallel
@@ -49,12 +45,9 @@ class TestBuiltinTable:
         # The shared-memory arena has no chained MERGE path.
         assert get_backend("shm").engines == ("batch", "sharded")
 
-    def test_pair_format_concreteness(self):
-        assert get_pair_format("dict").concrete
-        assert get_pair_format("columnar").concrete
-        assert not get_pair_format("auto").concrete
-        mmap_spec = get_pair_format("mmap")
-        assert mmap_spec.concrete and mmap_spec.requires_coarse
+    def test_pair_format_capabilities(self):
+        assert not get_pair_format("columnar").requires_coarse
+        assert get_pair_format("mmap").requires_coarse
 
     def test_unknown_names_raise(self):
         with pytest.raises(ParameterError, match="engine must be one of"):
@@ -68,34 +61,40 @@ class TestBuiltinTable:
 class TestValidation:
     def test_valid_defaults(self):
         validate_run_settings(
-            backend="serial", engine="chained", pairs_format="auto",
+            backend="serial", engine="chained", pairs_format="columnar",
             coarse=False, num_workers=1,
         )
 
     def test_engine_requires_coarse(self):
         with pytest.raises(ParameterError, match="requires coarse sweeping"):
             validate_run_settings(
-                backend="serial", engine="batch", pairs_format="auto",
+                backend="serial", engine="batch", pairs_format="columnar",
                 coarse=False, num_workers=1,
             )
 
     def test_engine_rejects_dict_pairs(self):
-        with pytest.raises(ParameterError, match="columnar"):
-            validate_run_settings(
-                backend="serial", engine="sharded", pairs_format="dict",
-                coarse=True, num_workers=1,
-            )
+        # The dict map is the Phase I oracle, not a run format: no
+        # engine takes it, and the message names the formats that exist.
+        for engine in engine_names():
+            for fmt in ("dict", "auto"):
+                with pytest.raises(
+                    ParameterError, match=r"one of \('columnar', 'mmap'\)"
+                ):
+                    validate_run_settings(
+                        backend="serial", engine=engine, pairs_format=fmt,
+                        coarse=True, num_workers=1,
+                    )
 
     def test_coarse_chained_rejected_on_shm(self):
         for workers in (1, 2):
             with pytest.raises(ParameterError, match=r"'chained'.*'batch', 'sharded'"):
                 validate_run_settings(
-                    backend="shm", engine="chained", pairs_format="auto",
+                    backend="shm", engine="chained", pairs_format="columnar",
                     coarse=True, num_workers=workers,
                 )
         # The fine sweep ignores the backend's sweep engines.
         validate_run_settings(
-            backend="shm", engine="chained", pairs_format="auto",
+            backend="shm", engine="chained", pairs_format="columnar",
             coarse=False, num_workers=2,
         )
         with pytest.raises(ParameterError, match="does not run on backend='shm'"):
@@ -122,7 +121,7 @@ class TestValidation:
             )
         with pytest.raises(ParameterError, match="memory_budget_bytes"):
             validate_run_settings(
-                backend="serial", engine="chained", pairs_format="auto",
+                backend="serial", engine="chained", pairs_format="columnar",
                 coarse=True, num_workers=1,
                 memory_budget_bytes=1 << 20,
             )
@@ -139,7 +138,7 @@ class TestValidation:
     def test_bad_worker_count(self):
         with pytest.raises(ParameterError, match="num_workers"):
             validate_run_settings(
-                backend="thread", engine="chained", pairs_format="auto",
+                backend="thread", engine="chained", pairs_format="columnar",
                 coarse=True, num_workers=0,
             )
 
@@ -172,4 +171,4 @@ class TestRegistration:
         with pytest.raises(ParameterError, match="already registered"):
             register_backend(BackendSpec(name="thread", summary="dup"))
         with pytest.raises(ParameterError, match="already registered"):
-            register_pair_format(PairFormatSpec(name="dict", summary="dup"))
+            register_pair_format(PairFormatSpec(name="columnar", summary="dup"))

@@ -1,4 +1,9 @@
-"""Tests for the vectorized Phase I (repro.fast.similarity)."""
+"""Tests for the vectorized Phase I (repro.fast.similarity).
+
+The columns are checked through their dict view
+(``SimilarityColumns.to_similarity_map``) against the dict oracle,
+:func:`repro.core.similarity.compute_similarity_map`.
+"""
 
 from __future__ import annotations
 
@@ -9,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.similarity import compute_similarity_map
-from repro.fast.similarity import adjacency_matrix, fast_similarity_map
+from repro.fast.similarity import fast_similarity_columns
 from repro.graph import generators
 from repro.graph.graph import Graph
 
@@ -25,17 +30,8 @@ def assert_equal_maps(fast, reference):
         assert sorted(other.common_neighbors) == sorted(entry.common_neighbors)
 
 
-class TestAdjacencyMatrix:
-    def test_symmetric_weights(self, weighted_caveman):
-        a = adjacency_matrix(weighted_caveman)
-        assert (a != a.T).nnz == 0
-        assert a.nnz == 2 * weighted_caveman.num_edges
-
-    def test_values(self):
-        g = Graph.from_edge_list([("a", "b", 2.5)])
-        a = adjacency_matrix(g)
-        assert a[0, 1] == 2.5
-        assert a[1, 0] == 2.5
+def _fast_map(graph):
+    return fast_similarity_columns(graph).to_similarity_map()
 
 
 class TestFastSimilarityMap:
@@ -52,21 +48,21 @@ class TestFastSimilarityMap:
     )
     def test_matches_reference(self, maker):
         g = maker()
-        assert_equal_maps(fast_similarity_map(g), compute_similarity_map(g))
+        assert_equal_maps(_fast_map(g), compute_similarity_map(g))
 
     def test_empty_graph(self):
-        assert len(fast_similarity_map(Graph())) == 0
+        assert len(_fast_map(Graph())) == 0
 
     def test_disjoint_edges(self):
         g = generators.disjoint_edges(4)
-        assert len(fast_similarity_map(g)) == 0
+        assert len(_fast_map(g)) == 0
 
     def test_isolated_vertices(self):
         g = Graph()
         g.add_vertex("lonely")
         g.add_edge("a", "b")
         g.add_edge("b", "c")
-        assert_equal_maps(fast_similarity_map(g), compute_similarity_map(g))
+        assert_equal_maps(_fast_map(g), compute_similarity_map(g))
 
 
 @settings(max_examples=40, deadline=None)
@@ -75,4 +71,4 @@ def test_property_vectorized_equals_reference(n, p, seed):
     g = generators.erdos_renyi(
         n, p, seed=seed, weight=generators.random_weights(seed=seed)
     )
-    assert_equal_maps(fast_similarity_map(g), compute_similarity_map(g))
+    assert_equal_maps(_fast_map(g), compute_similarity_map(g))

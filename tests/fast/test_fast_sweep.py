@@ -1,4 +1,8 @@
-"""Tests for the vectorized sweep (repro.fast.sweep)."""
+"""The fine sweep fed by vectorized Phase I columns.
+
+``sweep(graph, fast_similarity_columns(graph))`` must match the sweep
+over the dict oracle map (``sweep(graph)``) on the same edge order.
+"""
 
 from __future__ import annotations
 
@@ -12,9 +16,18 @@ from repro.core.similarity import compute_similarity_map
 from repro.core.storage import make_pair_store
 from repro.core.sweep import sweep
 from repro.fast.similarity import fast_similarity_columns
-from repro.fast.sweep import fast_sweep
 from repro.graph import generators
 from repro.graph.graph import Graph
+
+
+def _columnar_sweep(graph, edge_order=None, record_changes=False):
+    """The fine sweep over the vectorized Phase I columns."""
+    return sweep(
+        graph,
+        similarity_map=fast_similarity_columns(graph),
+        edge_order=edge_order,
+        record_changes=record_changes,
+    )
 
 
 def _wedge_stream(graph):
@@ -69,13 +82,13 @@ class TestWedgeStream:
 class TestFastSweep:
     def test_same_partition_as_reference(self, weighted_caveman):
         ref = sweep(weighted_caveman)
-        fast = fast_sweep(weighted_caveman)
+        fast = _columnar_sweep(weighted_caveman)
         assert same_partition(ref.edge_labels(), fast.edge_labels())
         assert ref.k1 == fast.k1 and ref.k2 == fast.k2
 
     def test_threshold_cuts_agree(self, weighted_caveman):
         ref = sweep(weighted_caveman)
-        fast = fast_sweep(weighted_caveman)
+        fast = _columnar_sweep(weighted_caveman)
         for threshold in (0.9, 0.6, 0.3, 0.05):
             assert same_partition(
                 ref.dendrogram.labels_at_similarity(threshold),
@@ -85,11 +98,11 @@ class TestFastSweep:
     def test_edge_order_supported(self, planted):
         order = planted.permuted_edge_ids()
         ref = sweep(planted, edge_order=order)
-        fast = fast_sweep(planted, edge_order=order)
+        fast = _columnar_sweep(planted, edge_order=order)
         assert same_partition(ref.edge_labels(), fast.edge_labels())
 
     def test_change_recording(self, triangle):
-        fast = fast_sweep(triangle, record_changes=True)
+        fast = _columnar_sweep(triangle, record_changes=True)
         assert fast.per_merge_changes is not None
         assert len(fast.per_merge_changes) == fast.k2
         assert sum(fast.per_merge_changes) == fast.chain.changes
@@ -100,7 +113,7 @@ class TestFastSweep:
         )
         fast = sorted(
             round(s, 9)
-            for s in fast_sweep(weighted_caveman).dendrogram.merge_similarities()
+            for s in _columnar_sweep(weighted_caveman).dendrogram.merge_similarities()
         )
         assert ref == fast
 
@@ -112,6 +125,6 @@ def test_property_fast_sweep_equals_reference(n, p, seed):
         n, p, seed=seed, weight=generators.random_weights(seed=seed)
     )
     ref = sweep(g)
-    fast = fast_sweep(g)
+    fast = _columnar_sweep(g)
     assert same_partition(ref.edge_labels(), fast.edge_labels())
     assert ref.k1 == fast.k1 and ref.k2 == fast.k2

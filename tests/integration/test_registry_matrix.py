@@ -116,14 +116,6 @@ def graphs(draw):
     return graph
 
 
-def _phase_one(graph, fmt):
-    """Phase I output for a resolved pair format (mmap builds its store
-    from columns)."""
-    if fmt == "dict":
-        return compute_similarity_map(graph)
-    return fast_similarity_columns(graph)
-
-
 def _levels(dendrogram):
     return [
         dendrogram.labels_at_level(level)
@@ -168,9 +160,8 @@ def test_coarse_cell_matches_dict_chained_oracle(
         num_workers=WORKERS,
     )
     clustering = LinkClustering(graph, config=config, runtime=runtimes.get(backend))
-    result = clustering.run(
-        similarity_map=_phase_one(graph, clustering.resolved_pairs_format())
-    )
+    # mmap builds its store from the same columns.
+    result = clustering.run(similarity_map=fast_similarity_columns(graph))
     assert result.num_levels == oracle.num_levels
     assert _levels(result.dendrogram) == _levels(oracle.dendrogram)
 
@@ -180,9 +171,7 @@ def test_coarse_cell_matches_dict_chained_oracle(
 @given(graph=graphs())
 def test_fine_cell_matches_ahn(fmt, graph):
     clustering = LinkClustering(graph, config=RunConfig(pairs_format=fmt))
-    result = clustering.run(
-        similarity_map=_phase_one(graph, clustering.resolved_pairs_format())
-    )
+    result = clustering.run(similarity_map=fast_similarity_columns(graph))
     reference = ahn_link_clustering(graph).dendrogram
     # Single linkage at a threshold does not depend on how ties were
     # ordered, so compare just below every distinct merge similarity.
@@ -204,3 +193,11 @@ def test_every_engine_and_backend_has_a_cell():
     backends = {p.values[1] for p in COARSE_CELLS}
     assert engines == set(engine_names())
     assert backends == set(backend_names())
+
+
+def test_cell_counts():
+    # Coarse: chained on serial/thread/process, batch and sharded on all
+    # four backends, each with the columnar and mmap formats.  Fine:
+    # columnar only (mmap needs a coarse sweep).
+    assert len(COARSE_CELLS) == 22
+    assert len(FINE_CELLS) == 1

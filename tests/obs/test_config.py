@@ -17,7 +17,7 @@ class TestValidation:
         assert cfg.num_workers == 1
         assert cfg.coarse is None
         assert cfg.seed is None
-        assert cfg.vectorized is False
+        assert cfg.pairs_format == "columnar"
         assert cfg.tracing_enabled is False
 
     def test_bad_backend(self):
@@ -61,6 +61,13 @@ class TestValidation:
         with pytest.raises(ParameterError, match="columnar"):
             RunConfig(engine="batch", coarse=True, pairs_format="dict")
 
+    @pytest.mark.parametrize("fmt", ["dict", "auto"])
+    def test_removed_pair_formats_rejected(self, fmt):
+        with pytest.raises(
+            ParameterError, match=r"pairs_format must be one of \('columnar', 'mmap'\)"
+        ):
+            RunConfig(pairs_format=fmt)
+
     def test_batch_engine_with_coarse_accepted(self):
         # The check must run after bool coercion: coarse=True is enough.
         assert RunConfig(engine="batch", coarse=True).engine == "batch"
@@ -90,7 +97,6 @@ class TestRoundTrip:
             engine="batch",
             coarse=CoarseParams(gamma=3.0, phi=10, delta0=50.0),
             seed=7,
-            vectorized=True,
             profile=True,
             metrics_out="trace.jsonl",
         )
@@ -114,6 +120,10 @@ class TestRoundTrip:
     def test_unknown_keys_rejected(self):
         with pytest.raises(ParameterError, match="unknown RunConfig keys"):
             RunConfig.from_dict({"backend": "serial", "turbo": True})
+        # The removed Phase I switch is unknown too.
+        with pytest.raises(ParameterError, match="unknown RunConfig keys.*vectorized"):
+            RunConfig.from_dict({"vectorized": True})
+        assert "vectorized" not in RunConfig().to_dict()
 
 
 class TestMakeTracer:

@@ -142,9 +142,9 @@ class TestReplaySink:
 
         sink = ReplaySink()
         tracer = Tracer([sink])
-        tracer.event("run:pairs_format", format="dict", requested="auto")
+        tracer.event("job:state", state="done")
         sink.close()
         # A follower starting after close replays then stops.
         records = list(sink.follow(timeout=1.0))
         assert len(records) == 1
-        assert records[0]["name"] == "run:pairs_format"
+        assert records[0]["name"] == "job:state"

@@ -1,4 +1,10 @@
-"""Tests for the parallel initialization phase (Section VI-A)."""
+"""Tests for the parallel initialization phase (Section VI-A).
+
+The parallel columns are checked through their dict view
+(``SimilarityColumns.to_similarity_map``) against the serial dict
+oracle; ``tests/core/test_simcolumns.py`` checks them bitwise against
+the serial columns.
+"""
 
 from __future__ import annotations
 
@@ -8,11 +14,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.similarity import accumulate_pair_map, compute_similarity_map
+from repro.core.similarity import compute_similarity_map
 from repro.errors import ParameterError
 from repro.graph import generators
-from repro.parallel.par_init import hierarchical_map_merge, parallel_similarity_map
-from repro.parallel.pool import ThreadBackend
+from repro.parallel.par_init import parallel_similarity_columns
+
+
+def _parallel_map(graph, **kwargs):
+    return parallel_similarity_columns(graph, **kwargs).to_similarity_map()
 
 
 def assert_maps_equal(fast, reference):
@@ -26,67 +35,35 @@ def assert_maps_equal(fast, reference):
         assert sorted(other.common_neighbors) == sorted(entry.common_neighbors)
 
 
-class TestHierarchicalMapMerge:
-    def test_empty(self):
-        assert hierarchical_map_merge([]) == {}
-
-    @pytest.mark.parametrize("parts", [1, 2, 3, 4, 6, 8])
-    def test_matches_full_map(self, parts, weighted_caveman):
-        g = weighted_caveman
-        full = accumulate_pair_map(g)
-        from repro.parallel.partitioner import partition_range
-
-        locals_ = [
-            accumulate_pair_map(g, vertices=part)
-            for part in partition_range(g.num_vertices, parts)
-        ]
-        merged = hierarchical_map_merge(locals_)
-        assert set(merged) == set(full)
-        for key in full:
-            assert merged[key][0] == pytest.approx(full[key][0])
-            assert sorted(merged[key][1]) == sorted(full[key][1])
-
-    def test_with_thread_backend(self, planted):
-        from repro.parallel.partitioner import partition_range
-
-        locals_ = [
-            accumulate_pair_map(planted, vertices=part)
-            for part in partition_range(planted.num_vertices, 5)
-        ]
-        full = accumulate_pair_map(planted)
-        merged = hierarchical_map_merge(locals_, ThreadBackend(3))
-        assert set(merged) == set(full)
-
-
 class TestParallelSimilarityMap:
     def test_validation(self, triangle):
         with pytest.raises(ParameterError):
-            parallel_similarity_map(triangle, num_workers=0)
+            _parallel_map(triangle, num_workers=0)
 
     @pytest.mark.parametrize("workers", [1, 2, 3, 6])
     @pytest.mark.parametrize("backend", ["serial", "thread"])
     def test_matches_serial(self, weighted_caveman, workers, backend):
         reference = compute_similarity_map(weighted_caveman)
-        fast = parallel_similarity_map(
+        fast = _parallel_map(
             weighted_caveman, num_workers=workers, backend=backend
         )
         assert_maps_equal(fast, reference)
 
     def test_process_backend(self, planted):
         reference = compute_similarity_map(planted)
-        fast = parallel_similarity_map(planted, num_workers=2, backend="process")
+        fast = _parallel_map(planted, num_workers=2, backend="process")
         assert_maps_equal(fast, reference)
 
     def test_contiguous_scheme(self, planted):
         reference = compute_similarity_map(planted)
-        fast = parallel_similarity_map(
+        fast = _parallel_map(
             planted, num_workers=3, backend="thread", scheme="contiguous"
         )
         assert_maps_equal(fast, reference)
 
     def test_more_workers_than_vertices(self, triangle):
         reference = compute_similarity_map(triangle)
-        fast = parallel_similarity_map(triangle, num_workers=16, backend="thread")
+        fast = _parallel_map(triangle, num_workers=16, backend="thread")
         assert_maps_equal(fast, reference)
 
 
@@ -102,5 +79,5 @@ def test_property_parallel_init_equals_serial(n, p, seed, workers):
         n, p, seed=seed, weight=generators.random_weights(seed=seed)
     )
     reference = compute_similarity_map(g)
-    fast = parallel_similarity_map(g, num_workers=workers, backend="thread")
+    fast = _parallel_map(g, num_workers=workers, backend="thread")
     assert_maps_equal(fast, reference)

@@ -17,13 +17,13 @@ import pytest
 from repro.cluster.serialize import dumps_dendrogram
 from repro.core.config import RunConfig
 from repro.core.linkclust import LinkClustering
-from repro.errors import QueueFullError, ServeError
+from repro.errors import QueueFullError, RequestTooLargeError, ServeError
 from repro.graph.graph import Graph
 from repro.serve import jobs as jobs_module
 from repro.serve.client import ServeClient
 from repro.serve.jobs import JobManager
 from repro.serve.protocol import JOB_CANCELLED, JOB_DONE, JOB_RUNNING
-from repro.serve.server import make_server
+from repro.serve.server import MAX_BODY_BYTES, make_server
 
 # Two K4 cliques bridged by one edge: enough structure for a real
 # dendrogram, small enough that process/shm backends stay quick.
@@ -133,6 +133,15 @@ class TestErrors:
         with pytest.raises(ServeError, match="400.*unknown RunConfig keys.*epsilon"):
             client.submit(edges=EDGES, config=config)
 
+    @pytest.mark.parametrize(
+        "config",
+        [{"pairs_format": "dict"}, {"pairs_format": "auto"}, {"vectorized": True}],
+        ids=["dict", "auto", "vectorized"],
+    )
+    def test_removed_run_formats_are_400(self, client, config):
+        with pytest.raises(ServeError, match="400.*(columnar|unknown RunConfig keys)"):
+            client.submit(edges=EDGES, config=config)
+
     def test_unknown_job_is_404(self, client):
         with pytest.raises(ServeError, match="404"):
             client.status("j999")
@@ -198,6 +207,36 @@ class TestHostileBodies:
             assert status == 400
             assert "Content-Length" in payload["error"] or "JSON" in payload["error"]
             assert ServeClient(port=port).health()["ok"]
+
+    def test_oversized_body_is_413_and_daemon_keeps_serving(self):
+        with serving(JobManager(job_workers=1), port=0) as server:
+            port = server.server_address[1]
+            conn = http.client.HTTPConnection("127.0.0.1", port, timeout=10)
+            try:
+                conn.putrequest("POST", "/jobs")
+                conn.putheader("Content-Length", str(MAX_BODY_BYTES + 1))
+                conn.endheaders()
+                # No body is sent: the daemon must answer from the
+                # header alone and close the connection.
+                response = conn.getresponse()
+                payload = json.loads(response.read())
+                assert response.status == 413
+                assert str(MAX_BODY_BYTES) in payload["error"]
+                assert response.getheader("Connection") == "close"
+            finally:
+                conn.close()
+            assert ServeClient(port=port).health()["ok"]
+            assert ServeClient(port=port).run(edges=EDGES)["dendrogram"]
+
+    def test_client_maps_413_to_named_error(self, monkeypatch):
+        import repro.serve.server as server_module
+
+        monkeypatch.setattr(server_module, "MAX_BODY_BYTES", 16)
+        with serving(JobManager(job_workers=1), port=0) as server:
+            client = ServeClient(port=server.server_address[1])
+            with pytest.raises(RequestTooLargeError, match="16-byte limit"):
+                client.submit(edges=EDGES)
+            assert client.health()["ok"]
 
 
 class _GateRun:

@@ -170,6 +170,15 @@ class TestCluster:
             assert exc.value.code == 2
             assert "--epsilon" in capsys.readouterr().err
 
+    def test_removed_pair_formats_rejected(self, graph_file, capsys):
+        for fmt in ("dict", "auto"):
+            with pytest.raises(SystemExit) as exc:
+                main(["cluster", str(graph_file), "--pairs-format", fmt])
+            assert exc.value.code == 2
+            err = capsys.readouterr().err
+            assert "--pairs-format" in err and "'columnar', 'mmap'" in err
+        assert build_parser().parse_args(["cluster", "g.txt"]).pairs_format == "columnar"
+
     def test_coarse_chained_on_shm_rejected(self, graph_file, capsys):
         code = main(
             [
