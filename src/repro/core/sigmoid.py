@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from repro.errors import ParameterError
 
@@ -102,6 +101,10 @@ def fit_sigmoid(
         raise ParameterError("xs and ys must have equal length")
     if len(xs) < 4:
         raise ParameterError("need at least 4 points to fit 4 parameters")
+    # SciPy costs ~0.5 s to import; only the fit needs it, so every
+    # other importer of ``repro.core`` (the CLI, the daemon) skips it.
+    from scipy.optimize import least_squares
+
     x_arr = np.asarray(xs, dtype=float)
     y_arr = np.asarray(ys, dtype=float)
 

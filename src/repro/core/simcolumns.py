@@ -1,28 +1,38 @@
 """Columnar (structure-of-arrays) representation of map ``M``.
 
-:class:`SimilarityColumns` stores the Phase-I output as five parallel
-numpy arrays instead of a Python dict of tuples:
+:class:`SimilarityColumns` stores the Phase-I output as parallel numpy
+arrays instead of a Python dict of tuples:
 
 * ``u``, ``v`` — the K1 vertex pairs (``u[i] < v[i]``);
 * ``sim`` — their Tanimoto similarities;
 * ``common_offsets`` / ``common_neighbors`` — the per-pair witness
   lists in CSR layout (``common_neighbors[common_offsets[i] :
   common_offsets[i + 1]]`` are pair ``i``'s common neighbours, K2
-  entries total).
+  entries total);
+* ``edge_uk`` / ``edge_vk`` (optional) — for every witness ``k`` the
+  edge ids of ``(u, k)`` and ``(v, k)``, aligned with
+  ``common_neighbors``.  Phase I knows both edges when it enumerates a
+  wedge from the CSR rows, so it carries them here; columns built by
+  hand or from a dict map leave them ``None``.
 
 Every downstream stage of the run becomes a C-speed kernel over these
-columns: sorting list ``L`` is one :func:`numpy.lexsort`
-(:meth:`SimilarityColumns.sort_pairs`), the sweep's K2-long merge
-stream is a gather (:func:`wedge_edge_arrays`), and the parallel layer
-can ship the columns zero-copy through shared memory.  The dict-based
-:class:`~repro.core.similarity.SimilarityMap` remains the pure-Python
-oracle; the two representations convert losslessly in both directions.
+columns: sorting list ``L`` is one stable argsort on ``-sim`` when the
+rows are already in ``(u, v)`` order, as Phase I emits them (a
+three-key lexsort otherwise), plus one CSR gather
+(:meth:`SimilarityColumns.sort_pairs`); the sweep's K2-long merge
+stream is the carried edge ids (:func:`wedge_edge_arrays`, which
+resolves them from the graph only for columns that lack them); and the
+parallel layer can ship the columns zero-copy through shared memory.
+The dict-based :class:`~repro.core.similarity.SimilarityMap` remains
+the pure-Python oracle; the two representations convert losslessly in
+both directions.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Tuple
+import itertools
+from dataclasses import dataclass, replace
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -30,7 +40,7 @@ from repro.core.similarity import SimilarityMap, VertexPairEntry
 from repro.errors import ClusteringError, ParameterError
 from repro.graph.graph import Graph
 
-__all__ = ["SimilarityColumns", "wedge_edge_arrays"]
+__all__ = ["SimilarityColumns", "list_order", "wedge_edge_arrays"]
 
 
 @dataclass(frozen=True)
@@ -39,8 +49,11 @@ class SimilarityColumns:
 
     Rows may be in any order; :meth:`sort_pairs` produces the sweeping
     phase's list ``L`` order (non-increasing similarity, ties by vertex
-    pair).  Instances are immutable: every transformation returns a new
-    object sharing no mutable state with its source.
+    pair).  ``edge_uk``/``edge_vk`` are given together or not at all;
+    they keep their integer dtype (Phase I stores them as int32 when
+    |E| < 2³¹).  Instances are immutable: every transformation returns a
+    new object, and only :meth:`without_edge_ids` shares arrays with its
+    source.
     """
 
     u: np.ndarray
@@ -48,6 +61,8 @@ class SimilarityColumns:
     sim: np.ndarray
     common_offsets: np.ndarray
     common_neighbors: np.ndarray
+    edge_uk: Optional[np.ndarray] = None
+    edge_vk: Optional[np.ndarray] = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "u", np.ascontiguousarray(self.u, dtype=np.int64))
@@ -88,6 +103,17 @@ class SimilarityColumns:
                 f"common_offsets must end at len(common_neighbors) = "
                 f"{len(self.common_neighbors)}, got {self.common_offsets[-1]}"
             )
+        if (self.edge_uk is None) != (self.edge_vk is None):
+            raise ParameterError("edge_uk and edge_vk must be given together")
+        if self.edge_uk is not None:
+            for name in ("edge_uk", "edge_vk"):
+                ids = np.ascontiguousarray(getattr(self, name))
+                if ids.shape != (self.k2,) or ids.dtype.kind not in "iu":
+                    raise ParameterError(
+                        f"{name} must be an integer array of length k2 = "
+                        f"{self.k2}, got {ids.dtype} shape {ids.shape}"
+                    )
+                object.__setattr__(self, name, ids)
 
     # ------------------------------------------------------------------
     # shape
@@ -105,6 +131,12 @@ class SimilarityColumns:
     def pair_counts(self) -> np.ndarray:
         """Witness count of every pair (length K1)."""
         return np.diff(self.common_offsets)
+
+    def without_edge_ids(self) -> "SimilarityColumns":
+        """These columns minus the carried edge ids (shares the rest)."""
+        if self.edge_uk is None:
+            return self
+        return replace(self, edge_uk=None, edge_vk=None)
 
     def __len__(self) -> int:
         return self.k1
@@ -172,36 +204,84 @@ class SimilarityColumns:
     def sort_pairs(self) -> "SimilarityColumns":
         """List ``L`` as new columns: non-increasing similarity, ties by
         ``(u, v)`` — exactly :meth:`SimilarityMap.sorted_pairs` order,
-        computed as one lexsort plus a CSR gather instead of a Python
+        computed as one argsort (:func:`list_order`) plus a CSR gather
+        of the witnesses and any carried edge ids, instead of a Python
         sort over K1 tuples."""
         if self.k1 == 0:
             return self
-        # Keys last-to-first: primary -sim (descending sim), then u, v.
-        # Similarities are strictly positive, so negation is order-exact.
-        order = np.lexsort((self.v, self.u, -self.sim))
-        counts = self.pair_counts()
-        new_counts = counts[order]
+        order = list_order(self.u, self.v, self.sim)
+        counts = self.pair_counts()[order]
         new_offsets = np.zeros(self.k1 + 1, dtype=np.int64)
-        np.cumsum(new_counts, out=new_offsets[1:])
+        np.cumsum(counts, out=new_offsets[1:])
         # Gather the witness lists: wedge t of reordered pair j sits at
         # old position old_starts[order[j]] + t.
-        old_starts = self.common_offsets[:-1]
-        gather = (
-            np.repeat(old_starts[order] - new_offsets[:-1], new_counts)
-            + np.arange(self.k2, dtype=np.int64)
-        )
+        gather = np.repeat(self.common_offsets[:-1][order] - new_offsets[:-1], counts)
+        gather += np.arange(self.k2, dtype=np.int64)
+        carried = self.edge_uk is not None
         return SimilarityColumns(
             u=self.u[order],
             v=self.v[order],
             sim=self.sim[order],
             common_offsets=new_offsets,
             common_neighbors=self.common_neighbors[gather],
+            edge_uk=self.edge_uk[gather] if carried else None,
+            edge_vk=self.edge_vk[gather] if carried else None,
         )
+
+
+def list_order(u: np.ndarray, v: np.ndarray, sim: np.ndarray) -> np.ndarray:
+    """The permutation that puts rows into list ``L`` order.
+
+    List ``L`` is keyed ``(-sim, u, v)``.  Similarities are strictly
+    positive, so negation is order-exact.  When the rows are already
+    strictly ``(u, v)``-increasing (Phase I emits them so), the stable
+    order of ``-sim`` alone keeps ties in ``(u, v)`` order and is the
+    same permutation as the three-key lexsort, at a fraction of its
+    cost; the lexsort stays for rows in any other order.
+    """
+    if len(u) > 1:
+        du = u[1:] - u[:-1]
+        if np.all((du > 0) | ((du == 0) & (v[1:] > v[:-1]))):
+            return _stable_descending(sim)
+    return np.lexsort((v, u, -sim))
+
+
+def _stable_descending(sim: np.ndarray) -> np.ndarray:
+    """``np.argsort(-sim, kind="stable")``, computed faster.
+
+    An unstable argsort (NumPy's vectorized quicksort) ranks the rows;
+    one direct sort of the packed ``(run of equal similarity, row)``
+    keys then puts every tie run back in row order.  Both keys are
+    below ``len(sim)``, so the packing fits an int64 for any K1.
+    """
+    total = len(sim)
+    order = np.argsort(-sim)
+    ranked = sim[order]
+    runs = np.zeros(total, dtype=np.int64)
+    np.cumsum(ranked[1:] != ranked[:-1], out=runs[1:])
+    runs *= total
+    runs += order
+    runs.sort()
+    return runs % total
 
 
 # ----------------------------------------------------------------------
 # edge-id resolution for the K2 wedge stream
 # ----------------------------------------------------------------------
+
+
+def _edge_arrays(graph: Graph) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The edge list as columns ``(eu, ev, w)``, indexed by edge id.
+
+    Built straight from the graph's own endpoint and weight lists (no
+    per-edge Python loop); ``eu < ev`` on every row.
+    """
+    m = graph.num_edges
+    ends = np.fromiter(
+        itertools.chain.from_iterable(graph.edge_pairs()), dtype=np.int64, count=2 * m
+    )
+    weights = np.asarray(graph.edge_weights(), dtype=np.float64)
+    return ends[0::2], ends[1::2], weights
 
 
 def _edge_key_table(graph: Graph) -> Tuple[np.ndarray, np.ndarray, int]:
@@ -212,12 +292,7 @@ def _edge_key_table(graph: Graph) -> Tuple[np.ndarray, np.ndarray, int]:
     per-wedge ``graph.edge_id`` dict lookups.
     """
     n = graph.num_vertices
-    m = graph.num_edges
-    eu = np.empty(m, dtype=np.int64)
-    ev = np.empty(m, dtype=np.int64)
-    for eid, (a, b) in enumerate(graph.edge_pairs()):
-        eu[eid] = a
-        ev[eid] = b
+    eu, ev, _ = _edge_arrays(graph)
     keys = eu * n + ev
     order = np.argsort(keys)
     return keys[order], order.astype(np.int64), n
@@ -250,14 +325,18 @@ def wedge_edge_arrays(
 
     For every witness ``k`` of pair ``(u, v)``, returns the edge ids of
     ``(u, k)`` and ``(v, k)`` — the two edges each MERGE call joins —
-    aligned with ``columns.common_neighbors``.  Resolution is one
-    vectorized binary search over the sorted edge keys instead of K2
-    dict probes; a miss raises :class:`ClusteringError` (it would mean
-    the columns disagree with the graph).
+    aligned with ``columns.common_neighbors``.  Columns from Phase I
+    carry them (``edge_uk``/``edge_vk``, returned as they are, int32
+    when |E| < 2³¹).  Columns without them (built by hand or from a
+    dict map) are resolved by a vectorized binary search over the
+    sorted edge keys; a miss raises :class:`ClusteringError` (it would
+    mean the columns disagree with the graph).
     """
     if columns.k2 == 0:
         empty_i = np.empty(0, dtype=np.int64)
         return empty_i, empty_i.copy()
+    if columns.edge_uk is not None:
+        return columns.edge_uk, columns.edge_vk
     counts = columns.pair_counts()
     a = np.repeat(columns.u, counts)
     b = np.repeat(columns.v, counts)

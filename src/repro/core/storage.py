@@ -9,8 +9,9 @@ bounded by *disk*, not RAM.  This module provides the abstraction:
   merge stream (edge indices into array ``C``), plus bounded *window*
   access for streaming consumers.
 * :class:`InMemoryPairStore` — today's behaviour, wrapping
-  :meth:`~repro.core.simcolumns.SimilarityColumns.sort_pairs` and
-  :func:`~repro.core.simcolumns.wedge_edge_arrays`.  This is the oracle:
+  :meth:`~repro.core.simcolumns.SimilarityColumns.sort_pairs` and the
+  edge ids Phase I carries (:func:`~repro.core.simcolumns.wedge_edge_arrays`).
+  This is the oracle:
   every other store must be bitwise-identical to it at every dendrogram
   level.
 * :class:`MmapPairStore` — the out-of-core store.  All six columns live
@@ -20,7 +21,7 @@ bounded by *disk*, not RAM.  This module provides the abstraction:
   spills budget-sized *sorted runs* to disk and an external k-way merge
   (keyed ``(-sim, u, v)``, a strict total order because ``(u, v)`` is
   unique) produces the globally sorted file without materializing all
-  of K2 in RAM.  The merge output is exactly the one-lexsort order —
+  of K2 in RAM.  The merge output is exactly list ``L``'s order —
   ties included — so the store is bitwise-identical to the oracle.
 
 Two build paths produce byte-identical files:
@@ -70,12 +71,7 @@ from typing import Iterator, List, Optional, Tuple
 import numpy as np
 
 from repro.core.cancel import CancelToken
-from repro.core.simcolumns import (
-    SimilarityColumns,
-    _edge_key_table,
-    _lookup_edge_ids,
-    wedge_edge_arrays,
-)
+from repro.core.simcolumns import SimilarityColumns, list_order, wedge_edge_arrays
 from repro.errors import ParameterError
 from repro.graph.graph import Graph
 from repro.obs import as_tracer
@@ -284,10 +280,7 @@ class InMemoryPairStore(PairStore):
         index_arr: np.ndarray,
         tracer=None,
     ) -> "InMemoryPairStore":
-        sorted_columns = columns.sort_pairs()
-        e1, e2 = wedge_edge_arrays(graph, sorted_columns)
-        c1 = index_arr[e1] if len(e1) else e1
-        c2 = index_arr[e2] if len(e2) else e2
+        sorted_columns, c1, c2 = _sorted_merge_stream(graph, columns, index_arr)
         return cls(sorted_columns, c1, c2, tracer=tracer)
 
     @property
@@ -307,6 +300,23 @@ class InMemoryPairStore(PairStore):
     def window_ranges(self, w0: int, w1: int) -> Iterator[Tuple[int, int]]:
         if w1 > w0:
             yield w0, w1
+
+
+def _sorted_merge_stream(
+    graph: Graph, columns: SimilarityColumns, index_arr: np.ndarray
+) -> Tuple[SimilarityColumns, np.ndarray, np.ndarray]:
+    """List ``L`` plus its ``c1``/``c2`` merge stream (indices into ``C``).
+
+    The sorted columns come back without their carried edge ids: once
+    mapped through ``index_arr`` they are dead weight for the sweep.
+    """
+    sorted_columns = columns.sort_pairs()
+    e1, e2 = wedge_edge_arrays(graph, sorted_columns)
+    sorted_columns = sorted_columns.without_edge_ids()
+    c1 = index_arr[e1] if len(e1) else np.empty(0, dtype=np.int64)
+    del e1
+    c2 = index_arr[e2] if len(e2) else np.empty(0, dtype=np.int64)
+    return sorted_columns, c1, c2
 
 
 class _RunFile:
@@ -418,37 +428,43 @@ def _spill_wedge_run(
     indptr: np.ndarray,
     indices: np.ndarray,
     weights: np.ndarray,
+    eids: np.ndarray,
     chunk: List[int],
     table: np.ndarray,
     n: int,
-    key_table,
     index_arr: np.ndarray,
     counts: np.ndarray,
 ) -> Optional["_WedgeRunReader"]:
     """Enumerate one centre chunk and spill it as a rank-sorted run.
 
     Records are ``(rank, c1, c2, wprod)`` with ``rank`` the pair's index
-    in the global ``(u, v)`` table; the stable sort keeps each pair's
-    wedges in ascending-centre order.  ``counts`` accumulates per-pair
+    in the global ``(u, v)`` table and ``c1``/``c2`` the wedge's two
+    carried edge ids mapped into array ``C``.  The sort key is the
+    packed ``(rank, centre)`` pair, unique per wedge, so each pair's
+    wedges end up in ascending-centre order (the oracle's) whatever
+    order the generator emits them in.  ``counts`` accumulates per-pair
     wedge counts in place.  Returns ``None`` for wedge-free chunks.
     """
-    from repro.fast.similarity import _wedge_columns
+    from repro.fast.similarity import _sort_with_order, _wedge_columns
 
-    w_u, w_v, w_k, w_prod = _wedge_columns(indptr, indices, weights, vertices=chunk)
+    w_u, w_v, w_k, w_prod, e_uk, e_vk = _wedge_columns(
+        indptr, indices, weights, eids, vertices=chunk
+    )
     if len(w_u) == 0:
         return None
-    rank = np.searchsorted(table, w_u * n + w_v)
-    order = np.argsort(rank, kind="stable")
-    rank = rank[order]
-    w_u = w_u[order]
-    w_v = w_v[order]
-    w_k = w_k[order]
+    rank = np.searchsorted(table, _pair_keys(w_u, w_v, n))
+    del w_u, w_v
+    if len(table) * n < 2**63:
+        rank *= n
+        rank += w_k
+        key, order = _sort_with_order(rank, len(table) * n)
+        rank = key // n
+    else:
+        order = np.lexsort((w_k, rank))
+        rank = rank[order]
+    c1 = index_arr[e_uk[order]]
+    c2 = index_arr[e_vk[order]]
     w_prod = w_prod[order]
-    sorted_keys, eids, key_n = key_table
-    e1 = _lookup_edge_ids(sorted_keys, eids, key_n, w_u, w_k)
-    e2 = _lookup_edge_ids(sorted_keys, eids, key_n, w_v, w_k)
-    c1 = index_arr[e1]
-    c2 = index_arr[e2]
     counts += np.bincount(rank, minlength=len(counts))
     with open(path, "wb") as handle:
         handle.write(rank.tobytes())
@@ -456,6 +472,14 @@ def _spill_wedge_run(
         handle.write(np.ascontiguousarray(c2, dtype=np.int64).tobytes())
         handle.write(np.ascontiguousarray(w_prod, dtype=np.float64).tobytes())
     return _WedgeRunReader(path, len(rank))
+
+
+def _pair_keys(w_u: np.ndarray, w_v: np.ndarray, n: int) -> np.ndarray:
+    """Packed int64 ``u * n + v`` keys of the wedges' vertex pairs."""
+    keys = w_u.astype(np.int64)
+    keys *= n
+    keys += w_v
+    return keys
 
 
 class _WedgeRunReader:
@@ -589,6 +613,42 @@ def _merge_wedge_runs(
             p0 = p1
 
 
+def _copy_in_list_order(
+    stream: np.ndarray,
+    starts: np.ndarray,
+    final_offsets: np.ndarray,
+    budget: Optional[int],
+    c1_w: _SectionWriter,
+    c2_w: _SectionWriter,
+) -> None:
+    """Copy the grouped ``(c1, c2)`` stream into list ``L`` order.
+
+    ``stream`` is a read-only map of the ``(u, v)``-ordered interleaved
+    ``(c1, c2)`` file and ``starts[j]`` is where list-``L`` pair ``j``'s
+    wedges start in it.  Pairs go a budget-bounded window at a time:
+    one vectorized gather from the map per window, instead of a seek
+    and a read per pair.  The map is file-backed (clean page cache, no
+    anonymous memory).
+    """
+    effective = budget if budget is not None else 16 * DEFAULT_WINDOW_BYTES
+    window = max(1024, effective // (2 * _STREAM_RECORD_BYTES))
+    k1 = len(starts)
+    p0 = 0
+    while p0 < k1:
+        limit = int(final_offsets[p0]) + window
+        j = int(np.searchsorted(final_offsets, limit, side="right")) - 1
+        p1 = min(k1, max(p0 + 1, j))
+        w0 = int(final_offsets[p0])
+        counts = np.diff(final_offsets[p0 : p1 + 1])
+        pos = np.repeat(starts[p0:p1] - (final_offsets[p0:p1] - w0), counts)
+        pos += np.arange(int(final_offsets[p1]) - w0, dtype=np.int64)
+        pos *= 2
+        c1_w.append(stream[pos])
+        pos += 1
+        c2_w.append(stream[pos])
+        p0 = p1
+
+
 class MmapPairStore(PairStore):
     """The out-of-core store (see module docstring for layout/merge)."""
 
@@ -671,10 +731,7 @@ class MmapPairStore(PairStore):
         if budget is None or pair_bytes <= budget or k1 <= 1:
             # Everything fits: sort in memory (the oracle path) and write
             # the file in one sequential pass.  No runs, no merge.
-            sorted_columns = columns.sort_pairs()
-            e1, e2 = wedge_edge_arrays(graph, sorted_columns)
-            c1 = index_arr[e1] if len(e1) else e1
-            c2 = index_arr[e2] if len(e2) else e2
+            sorted_columns, c1, c2 = _sorted_merge_stream(graph, columns, index_arr)
             with open(spec.path, "wb") as handle:
                 handle.write(np.ascontiguousarray(sorted_columns.sim).tobytes())
                 handle.write(np.ascontiguousarray(sorted_columns.u).tobytes())
@@ -709,7 +766,8 @@ class MmapPairStore(PairStore):
         k1 = columns.k1
         counts = columns.pair_counts()
         costs = _PAIR_BYTES + counts * _WEDGE_BYTES
-        key_table = _edge_key_table(graph)
+        # Phase I columns carry these; others resolve them once here.
+        e1, e2 = wedge_edge_arrays(graph, columns)
         runs: List[_RunFile] = []
         start = 0
         while start < k1:
@@ -725,7 +783,7 @@ class MmapPairStore(PairStore):
             ):
                 path = os.path.join(spill_dir, f"run{len(runs)}.bin")
                 nbytes = MmapPairStore._write_run(
-                    path, graph, columns, index_arr, key_table, start, stop
+                    path, columns, e1, e2, index_arr, start, stop
                 )
             tracer.count("spill_runs")
             tracer.count("bytes_spilled", nbytes)
@@ -742,45 +800,33 @@ class MmapPairStore(PairStore):
     @staticmethod
     def _write_run(
         path: str,
-        graph: Graph,
         columns: SimilarityColumns,
+        e1: np.ndarray,
+        e2: np.ndarray,
         index_arr: np.ndarray,
-        key_table,
         start: int,
         stop: int,
     ) -> int:
         """Sort pairs ``[start, stop)`` and write them as one run file.
 
-        Run files use the ``pairs.bin`` layout over the run's own k1/k2,
-        so the merge reads them through the same :class:`PairFileSpec`
-        machinery.
+        ``e1``/``e2`` are the columns' K2 edge-id stream.  Run files use
+        the ``pairs.bin`` layout over the run's own k1/k2, so the merge
+        reads them through the same :class:`PairFileSpec` machinery.
         """
-        sorted_keys, eids, n = key_table
         u = columns.u[start:stop]
         v = columns.v[start:stop]
         sim = columns.sim[start:stop]
         counts = np.diff(columns.common_offsets[start : stop + 1])
-        order = np.lexsort((v, u, -sim))
+        order = list_order(u, v, sim)
         counts_sorted = counts[order]
         run_offsets = np.zeros(len(order) + 1, dtype=np.int64)
         np.cumsum(counts_sorted, out=run_offsets[1:])
         total = int(run_offsets[-1])
         old_starts = columns.common_offsets[start:stop][order]
-        gather = (
-            np.repeat(old_starts - run_offsets[:-1], counts_sorted)
-            + np.arange(total, dtype=np.int64)
-        )
-        witnesses = columns.common_neighbors[gather]
-        a = np.repeat(u[order], counts_sorted)
-        b = np.repeat(v[order], counts_sorted)
-        if total:
-            e1 = _lookup_edge_ids(sorted_keys, eids, n, a, witnesses)
-            e2 = _lookup_edge_ids(sorted_keys, eids, n, b, witnesses)
-            c1 = index_arr[e1]
-            c2 = index_arr[e2]
-        else:
-            c1 = np.empty(0, dtype=np.int64)
-            c2 = np.empty(0, dtype=np.int64)
+        gather = np.repeat(old_starts - run_offsets[:-1], counts_sorted)
+        gather += np.arange(total, dtype=np.int64)
+        c1 = index_arr[e1[gather]]
+        c2 = index_arr[e2[gather]]
         with open(path, "wb") as handle:
             handle.write(np.ascontiguousarray(sim[order]).tobytes())
             handle.write(np.ascontiguousarray(u[order]).tobytes())
@@ -795,7 +841,7 @@ class MmapPairStore(PairStore):
         """k-way merge of the sorted runs into the final ``pairs.bin``.
 
         The heap key ``(-sim, u, v)`` is a strict total order over pairs
-        (``(u, v)`` is unique), so the output equals the one-lexsort
+        (``(u, v)`` is unique), so the output equals the in-memory sort's
         oracle order exactly, duplicate similarities included.  Only the
         run heads and bounded write buffers are resident.
         """
@@ -891,7 +937,7 @@ class MmapPairStore(PairStore):
             _wedge_columns,
         )
 
-        indptr, indices, weights = _csr_arrays(graph)
+        indptr, indices, weights, eids = _csr_arrays(graph)
         h1, h2 = _h_arrays_columnar(indptr, weights)
         n = max(1, graph.num_vertices)
         chunks = _center_chunks(indptr, budget)
@@ -902,10 +948,8 @@ class MmapPairStore(PairStore):
         for chunk in chunks:
             if cancel is not None:
                 cancel.raise_if_cancelled()
-            w_u, w_v, _w_k, _w_p = _wedge_columns(
-                indptr, indices, weights, vertices=chunk
-            )
-            table = np.union1d(table, w_u * n + w_v)
+            w_u, w_v = _wedge_columns(indptr, indices, weights, eids, vertices=chunk)[:2]
+            table = np.union1d(table, _pair_keys(w_u, w_v, n))
         k1 = len(table)
         spec = PairFileSpec(
             path=os.path.join(spill_dir, "pairs.bin"), k1=k1, k2=0
@@ -915,11 +959,10 @@ class MmapPairStore(PairStore):
                 handle.write(np.zeros(1, dtype=np.int64).tobytes())
             return spec
 
-        # Sweep B: spill one rank-sorted wedge run per chunk.  A stable
-        # sort keeps each pair's wedges in ascending-centre order — the
-        # order the oracle's (u, v, k) lexsort produces.
+        # Sweep B: spill one rank-sorted wedge run per chunk, each
+        # pair's wedges in ascending-centre order — the order the
+        # oracle's (u, v, k) sort produces.
         counts = np.zeros(k1, dtype=np.int64)
-        key_table = _edge_key_table(graph)
         runs: List[_WedgeRunReader] = []
         try:
             for chunk in chunks:
@@ -930,8 +973,8 @@ class MmapPairStore(PairStore):
                 ):
                     path = os.path.join(spill_dir, f"wedges{len(runs)}.bin")
                     run = _spill_wedge_run(
-                        path, indptr, indices, weights, chunk,
-                        table, n, key_table, index_arr, counts,
+                        path, indptr, indices, weights, eids, chunk,
+                        table, n, index_arr, counts,
                     )
                 if run is None:
                     continue
@@ -963,10 +1006,10 @@ class MmapPairStore(PairStore):
         pair_u = table // n
         pair_v = table % n
         dots = dots + (h1[pair_u] + h1[pair_v]) * _adjacency_weights(
-            graph, pair_u, pair_v
+            indptr, indices, weights, pair_u, pair_v
         )
         sims = _tanimoto(h2, pair_u, pair_v, dots)
-        order = np.lexsort((pair_v, pair_u, -sims))
+        order = list_order(pair_u, pair_v, sims)
         final_counts = counts[order]
         final_offsets = np.zeros(k1 + 1, dtype=np.int64)
         np.cumsum(final_counts, out=final_offsets[1:])
@@ -978,18 +1021,11 @@ class MmapPairStore(PairStore):
             handle.write(final_offsets.tobytes())
             c1_w = _SectionWriter(handle, spec.c1_offset, np.int64)
             c2_w = _SectionWriter(handle, spec.c2_offset, np.int64)
-            with open(temp_path, "rb") as temp:
-                starts_uv = offsets_uv[order].tolist()
-                counts_list = final_counts.tolist()
-                for start, count in zip(starts_uv, counts_list):
-                    if count == 0:
-                        continue
-                    temp.seek(start * _WEDGE_BYTES)
-                    pair_block = np.frombuffer(
-                        temp.read(count * _WEDGE_BYTES), dtype=np.int64
-                    )
-                    c1_w.append(pair_block[0::2])
-                    c2_w.append(pair_block[1::2])
+            if k2:
+                _copy_in_list_order(
+                    _map_i64(temp_path, 0, 2 * k2), offsets_uv[:-1][order],
+                    final_offsets, budget, c1_w, c2_w,
+                )
             c1_w.flush()
             c2_w.flush()
         os.unlink(temp_path)

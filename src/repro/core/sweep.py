@@ -195,8 +195,9 @@ def _columnar_sweep(
 ) -> SweepResult:
     """Algorithm 2 over columnar input: same merges, vectorized setup.
 
-    The sort is one lexsort, the K2 wedge stream comes out as flat edge
-    arrays (no per-wedge ``graph.edge_id`` dict lookups), and MERGE runs
+    The sort is one argsort (:func:`~repro.core.simcolumns.list_order`),
+    the K2 wedge stream is the edge ids Phase I carried, gathered with
+    the sort (no per-wedge ``graph.edge_id`` dict lookups), and MERGE runs
     one :meth:`ChainArray.merge_run` kernel call per ``CHECK_INTERVAL``
     window of wedges, with the cancel checkpoint between windows.  Only
     genuine merges look up their pair's similarity.
@@ -209,9 +210,12 @@ def _columnar_sweep(
     per_merge: Optional[List[int]] = [] if record_changes else None
 
     e1, e2 = wedge_edge_arrays(graph, columns)
+    columns = columns.without_edge_ids()
     index_arr = np.asarray(index, dtype=np.int64)
     c1 = index_arr[e1]
+    del e1
     c2 = index_arr[e2]
+    del e2
 
     merges: List[Tuple[int, int, int, int]] = []
     with tracer.span("phase:sweep"):

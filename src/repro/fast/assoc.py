@@ -13,7 +13,6 @@ an order of magnitude faster on large corpora.
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.corpus.documents import Corpus
 from repro.errors import CorpusError
@@ -29,6 +28,8 @@ def fast_association_graph(corpus: Corpus, alpha: float = 1.0) -> Graph:
     candidate words in rank order, edges carry the positive Eq.-(3)
     weights.
     """
+    import scipy.sparse as sp  # deferred: a cold ``import repro`` skips SciPy
+
     if corpus.num_documents == 0:
         raise CorpusError("cannot build an association graph from an empty corpus")
     vocab_list = corpus.top_fraction(alpha)

@@ -282,6 +282,10 @@ class Graph:
         """Iterate all edge endpoint pairs ``(u, v)`` in edge-id order."""
         return iter(self._edge_endpoints)
 
+    def edge_weights(self) -> Sequence[float]:
+        """All edge weights indexed by edge id (do not mutate)."""
+        return self._edge_weights
+
     def permuted_edge_ids(self, rng: Optional[random.Random] = None) -> List[int]:
         """A random permutation ``perm`` with ``perm[eid]`` = new index.
 

@@ -15,7 +15,13 @@ Algorithm 1's three passes keep the paper's parallel structure:
   modelled in the Fig 6(1) work model
   (:mod:`repro.parallel.workmodel`).
 * **Pass 3** — the ``(H1[i] + H1[j]) * w_ij`` adjustment touches each
-  vertex pair once, a disjoint region of ``M`` per pair.
+  vertex pair once, a disjoint region of ``M`` per pair.  It is one
+  vectorized expression in the parent (its span says ``workers=1``).
+
+Each worker's wedges carry the ids of their two edges (from the CSR
+slots), and the combine sort permutes them with the wedges, so the
+output carries the sweep's merge stream exactly as the serial path's
+does.
 
 Wedge keys ``(u, v, k)`` are globally unique, so the post-sort order
 (and therefore every floating-point sum) is identical to the serial
@@ -27,7 +33,7 @@ serial oracle.
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple
+from typing import List, Sequence
 
 import numpy as np
 
@@ -50,16 +56,18 @@ def _pass2_columnar_worker(
     indptr: np.ndarray,
     indices: np.ndarray,
     weights: np.ndarray,
+    eids: np.ndarray,
     vertices: Sequence[int],
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> List[np.ndarray]:
     """Columnar pass 2, step one: this vertex set's wedges as arrays.
 
     Receives the parent's CSR arrays, so no worker rebuilds the graph's
-    adjacency (and process tasks pickle three arrays, not the graph).
+    adjacency (and process tasks pickle four arrays, not the graph).
+    Returns ``[u, v, k, wprod, e_uk, e_vk]``.
     """
     from repro.fast.similarity import _wedge_columns
 
-    return _wedge_columns(indptr, indices, weights, vertices=vertices)
+    return _wedge_columns(indptr, indices, weights, eids, vertices=vertices)
 
 
 def parallel_similarity_columns(
@@ -72,18 +80,17 @@ def parallel_similarity_columns(
     """Columnar Phase I with ``num_workers`` workers.
 
     Per-worker wedge arrays replace the private dicts, and the combine
-    step is one concatenate + lexsort + segment-reduce in the parent —
+    step is one concatenate + argsort + segment-reduce in the parent —
     bitwise identical to :func:`repro.fast.similarity.fast_similarity_columns`
     (unique wedge keys force the same post-sort order, hence the same
     summation order, and pass 1 runs the serial kernel).  ``tracer``
     gets the standard per-pass spans.
     """
     from repro.fast.similarity import (
-        _adjacency_weights,
         _csr_arrays,
+        _finish_columns,
         _group_wedges,
         _h_arrays_columnar,
-        _tanimoto,
     )
 
     if num_workers < 1:
@@ -96,32 +103,24 @@ def parallel_similarity_columns(
     # dispatch than it saves, and per-worker partial sums would round
     # differently from the serial columnar kernel.
     with tracer.span("init:pass1", workers=1):
-        indptr, indices, weights = _csr_arrays(graph)
+        indptr, indices, weights, eids = _csr_arrays(graph)
         h1, h2 = _h_arrays_columnar(indptr, weights)
 
     with tracer.span("init:pass2", workers=len(parts)):
         partials = exec_backend.map(
             _pass2_columnar_worker,
-            [(indptr, indices, weights, part) for part in parts],
+            [(indptr, indices, weights, eids, part) for part in parts],
         )
-        pair_u, pair_v, dots, offsets, commons = _group_wedges(
-            np.concatenate([p[0] for p in partials]),
-            np.concatenate([p[1] for p in partials]),
-            np.concatenate([p[2] for p in partials]),
-            np.concatenate([p[3] for p in partials]),
-        )
+        # Release each worker column once it is concatenated, so the
+        # combine never holds two copies of all six K2 columns.
+        wedges = []
+        for col in range(len(partials[0])):
+            wedges.append(np.concatenate([part[col] for part in partials]))
+            for part in partials:
+                part[col] = None
+        del partials
+        grouped = _group_wedges(wedges)
 
-    with tracer.span("init:pass3", workers=len(parts)):
-        dots = dots + (h1[pair_u] + h1[pair_v]) * _adjacency_weights(
-            graph, pair_u, pair_v
-        )
-
-    with tracer.span("init:finalize"):
-        sims = _tanimoto(h2, pair_u, pair_v, dots)
-        return SimilarityColumns(
-            u=pair_u,
-            v=pair_v,
-            sim=sims,
-            common_offsets=offsets,
-            common_neighbors=commons,
-        )
+    return _finish_columns(
+        indptr, indices, weights, h1, h2, grouped, tracer, workers=1
+    )

@@ -1,16 +1,25 @@
-"""SimilarityColumns: validation, conversion, sorting, wedge resolution."""
+"""SimilarityColumns: validation, conversion, sorting, wedge resolution,
+and the edge ids Phase I carries to the sweep."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core.simcolumns import SimilarityColumns, wedge_edge_arrays
+from repro.cluster.serialize import dumps_dendrogram
+from repro.core import simcolumns
+from repro.core.coarse import CoarseParams
+from repro.core.config import RunConfig
+from repro.core.linkclust import LinkClustering
+from repro.core.simcolumns import SimilarityColumns, list_order, wedge_edge_arrays
 from repro.core.similarity import compute_similarity_map
 from repro.errors import ClusteringError, ParameterError
 from repro.fast.similarity import fast_similarity_columns
 from repro.graph import generators
 from repro.graph.graph import Graph
+from repro.obs import MemorySink, Tracer
 from repro.parallel.par_init import parallel_similarity_columns
 
 
@@ -227,3 +236,207 @@ class TestParallelColumns:
         monkeypatch.setattr(fast_similarity, "_csr_arrays", counting)
         parallel_similarity_columns(planted, num_workers=3, backend="thread")
         assert len(calls) == 1
+
+
+# ----------------------------------------------------------------------
+# carried edge ids: Phase I hands the sweep its merge stream directly
+# ----------------------------------------------------------------------
+
+
+def resolved_edge_ids(graph, columns):
+    """The key-table resolution of ``columns``' wedges (the fallback)."""
+    return wedge_edge_arrays(graph, columns.without_edge_ids())
+
+
+def shuffled_rows(columns, seed):
+    """The same map M with its rows (and their witness runs) permuted."""
+    perm = np.random.default_rng(seed).permutation(columns.k1)
+    counts = columns.pair_counts()[perm]
+    offsets = np.zeros(columns.k1 + 1, dtype=np.int64)
+    np.cumsum(counts, out=offsets[1:])
+    gather = np.concatenate(
+        [np.arange(columns.common_offsets[p], columns.common_offsets[p + 1]) for p in perm]
+        + [np.empty(0, dtype=np.int64)]
+    ).astype(np.int64)
+    return SimilarityColumns(
+        u=columns.u[perm],
+        v=columns.v[perm],
+        sim=columns.sim[perm],
+        common_offsets=offsets,
+        common_neighbors=columns.common_neighbors[gather],
+        edge_uk=columns.edge_uk[gather],
+        edge_vk=columns.edge_vk[gather],
+    )
+
+
+random_graphs = st.lists(
+    st.tuples(
+        st.integers(0, 11),
+        st.integers(0, 11),
+        st.floats(0.1, 4.0, allow_nan=False, allow_infinity=False),
+    ).filter(lambda t: t[0] != t[1]),
+    max_size=45,
+).map(
+    lambda edges: Graph.from_edge_list(
+        list({(min(a, b), max(a, b)): (a, b, w) for a, b, w in edges}.values())
+    )
+)
+
+
+class TestCarriedEdgeIds:
+    def test_phase_one_carries_ids(self, planted):
+        cols = fast_similarity_columns(planted)
+        assert cols.edge_uk.dtype == np.int32 and cols.edge_vk.dtype == np.int32
+        e1, e2 = wedge_edge_arrays(planted, cols)
+        r1, r2 = resolved_edge_ids(planted, cols)
+        np.testing.assert_array_equal(e1, r1)
+        np.testing.assert_array_equal(e2, r2)
+
+    def test_dict_and_hand_built_columns_carry_none(self, weighted_caveman):
+        cols = SimilarityColumns.from_similarity_map(
+            compute_similarity_map(weighted_caveman)
+        )
+        assert cols.edge_uk is None and cols.edge_vk is None
+        assert SimilarityColumns.empty().edge_uk is None
+        assert cols.sort_pairs().edge_uk is None
+
+    def test_ids_must_come_in_pairs(self):
+        with pytest.raises(ParameterError):
+            SimilarityColumns(
+                u=[0], v=[2], sim=[0.5], common_offsets=[0, 1],
+                common_neighbors=[1], edge_uk=[0],
+            )
+
+    def test_ids_must_align_with_witnesses(self):
+        with pytest.raises(ParameterError):
+            SimilarityColumns(
+                u=[0], v=[2], sim=[0.5], common_offsets=[0, 1],
+                common_neighbors=[1], edge_uk=[0, 1], edge_vk=[1, 0],
+            )
+
+    def test_without_edge_ids_shares_the_rest(self, planted):
+        cols = fast_similarity_columns(planted)
+        bare = cols.without_edge_ids()
+        assert bare.edge_uk is None and bare.edge_vk is None
+        assert bare.common_neighbors is cols.common_neighbors
+        assert bare.without_edge_ids() is bare
+
+    @settings(max_examples=60, deadline=None)
+    @given(graph=random_graphs, seed=st.integers(0, 2**16))
+    def test_property_serial_and_sorted_ids_match_resolution(self, graph, seed):
+        cols = fast_similarity_columns(graph)
+        for carried, resolved in zip(
+            wedge_edge_arrays(graph, cols), resolved_edge_ids(graph, cols)
+        ):
+            np.testing.assert_array_equal(carried, resolved)
+        # Shuffled rows are not (u, v)-increasing: sort_pairs takes the
+        # lexsort and must still gather the ids with their witnesses.
+        sorted_cols = cols.sort_pairs()
+        reshuffled = shuffled_rows(cols, seed).sort_pairs()
+        for name in ("u", "v", "sim", "common_offsets", "common_neighbors",
+                     "edge_uk", "edge_vk"):
+            np.testing.assert_array_equal(
+                getattr(reshuffled, name), getattr(sorted_cols, name)
+            )
+        for carried, resolved in zip(
+            wedge_edge_arrays(graph, sorted_cols),
+            resolved_edge_ids(graph, sorted_cols),
+        ):
+            np.testing.assert_array_equal(carried, resolved)
+
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    @settings(max_examples=15, deadline=None)
+    @given(graph=random_graphs)
+    def test_property_parallel_ids_match_resolution(self, backend, graph):
+        cols = parallel_similarity_columns(graph, num_workers=2, backend=backend)
+        assert cols.edge_uk is not None
+        for carried, resolved in zip(
+            wedge_edge_arrays(graph, cols), resolved_edge_ids(graph, cols)
+        ):
+            np.testing.assert_array_equal(carried, resolved)
+
+
+class TestListOrder:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        sims=st.lists(st.sampled_from([0.25, 0.5, 0.75, 1.0]), max_size=40),
+        seed=st.integers(0, 2**16),
+    )
+    def test_property_equals_lexsort(self, sims, seed):
+        k1 = len(sims)
+        rng = np.random.default_rng(seed)
+        keys = np.sort(rng.choice(400, size=k1, replace=False))
+        u, v = keys // 20, keys % 20
+        sim = np.asarray(sims, dtype=np.float64)
+        # (u, v)-increasing rows take the stable -sim order; shuffled
+        # rows take the lexsort.  Both must be the lexsort permutation.
+        np.testing.assert_array_equal(list_order(u, v, sim), np.lexsort((v, u, -sim)))
+        perm = rng.permutation(k1)
+        np.testing.assert_array_equal(
+            list_order(u[perm], v[perm], sim[perm]),
+            np.lexsort((v[perm], u[perm], -sim[perm])),
+        )
+
+
+class TestNoKeyTableOnPhaseOneRuns:
+    """With the key-table resolution disabled, every Phase I-fed cell
+    still runs and still produces the resolution path's dendrogram."""
+
+    CELLS = {
+        "batch": dict(coarse=CoarseParams(), engine="batch"),
+        "chained": dict(coarse=CoarseParams()),
+        "fine": dict(),
+        "batch-thread2": dict(coarse=CoarseParams(), engine="batch", backend="thread", num_workers=2),
+        "batch-process2": dict(coarse=CoarseParams(), engine="batch", backend="process", num_workers=2),
+        "batch-shm2": dict(coarse=CoarseParams(), engine="batch", backend="shm", num_workers=2),
+        "mmap": dict(coarse=CoarseParams(), engine="batch", pairs_format="mmap"),
+        "mmap-spill": dict(
+            coarse=CoarseParams(), engine="batch", pairs_format="mmap",
+            memory_budget_bytes=2048,
+        ),
+    }
+    # Serial mmap runs given no columns stream Phase I inside the store.
+    STREAMING = ("mmap", "mmap-spill")
+
+    @pytest.mark.parametrize(
+        "cell, streaming",
+        [(cell, False) for cell in sorted(CELLS)] + [(cell, True) for cell in STREAMING],
+    )
+    def test_cell_never_resolves(self, cell, streaming, monkeypatch, tmp_path):
+        settings_ = dict(self.CELLS[cell])
+        if cell.startswith("mmap"):
+            settings_["storage_dir"] = str(tmp_path)
+        config = RunConfig(**settings_)
+        g = generators.caveman_graph(3, 6, weight=generators.random_weights(seed=4))
+        cols = fast_similarity_columns(g)
+        # The reference resolves edge ids from the graph, as every run
+        # did before Phase I carried them.
+        reference = LinkClustering(g, config=config).run(
+            similarity_map=cols.without_edge_ids()
+        )
+
+        def no_resolution(*_args, **_kwargs):
+            raise AssertionError("a Phase I-fed run resolved edge ids")
+
+        monkeypatch.setattr(simcolumns, "_lookup_edge_ids", no_resolution)
+        if streaming:
+            result = LinkClustering(g, config=config).run()
+        else:
+            result = LinkClustering(g, config=config).run(similarity_map=cols)
+        assert dumps_dendrogram(result.dendrogram) == dumps_dendrogram(
+            reference.dendrogram
+        )
+        assert list(result.chain.raw()) == list(reference.chain.raw())
+        with pytest.raises(AssertionError):
+            wedge_edge_arrays(g, cols.without_edge_ids())
+
+
+class TestInitSpans:
+    def test_pass3_runs_in_the_parent(self, planted):
+        sink = MemorySink()
+        parallel_similarity_columns(
+            planted, num_workers=2, backend="thread", tracer=Tracer([sink])
+        )
+        spans = {s.name: s for s in sink.spans}
+        assert spans["init:pass2"].attrs["workers"] == 2
+        assert spans["init:pass3"].attrs["workers"] == 1

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 import repro
@@ -69,3 +73,22 @@ class TestPublicSurface:
 
         assert callable(sweep)
         assert LinkClustering and Graph and CoarseParams
+
+
+class TestColdImport:
+    def test_cli_and_daemon_imports_skip_scipy(self):
+        # SciPy takes about half a second to import; only the sigmoid
+        # fit and the vectorized corpus builder need it, so a cold
+        # ``repro cluster`` or daemon start must not load it.
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        probe = (
+            "import sys, repro, repro.cli, repro.serve; "
+            "print(sorted(m for m in sys.modules "
+            "if m == 'scipy' or m.startswith('scipy.')))"
+        )
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run(
+            [sys.executable, "-c", probe],
+            env=env, capture_output=True, text=True, check=True, timeout=120,
+        )
+        assert out.stdout.strip() == "[]"
