@@ -38,7 +38,7 @@ from repro.cluster.unionfind import ChainArray
 from repro.core.cancel import CancelToken
 from repro.core.coarse import CoarseParams, CoarseResult, coarse_sweep
 from repro.core.config import BACKENDS, RunConfig
-from repro.core.simcolumns import SimilarityColumns
+from repro.core.simcolumns import SimilarityColumns, _checked_edge_ids
 from repro.core.storage import StorageSettings
 from repro.core.sweep import SweepResult, sweep
 from repro.errors import ParameterError
@@ -425,7 +425,10 @@ class LinkClustering:
         ``similarity_map`` is keyword-only (the positional spelling was
         removed after its deprecation window); pass a precomputed
         Phase-I :class:`SimilarityColumns` to reuse it across sweeps.
-        Anything else, the dict
+        Edge ids the columns carry are checked against this graph once
+        here; ids that do not name its edges are dropped and resolved
+        from the graph instead (a :class:`~repro.errors.ClusteringError`
+        if the columns do not fit it).  Anything else, the dict
         :class:`~repro.core.similarity.SimilarityMap` oracle included,
         raises :class:`ParameterError`; convert a dict map with
         :meth:`SimilarityColumns.from_similarity_map`.
@@ -438,6 +441,8 @@ class LinkClustering:
                 f"{type(similarity_map).__name__}; convert a dict "
                 "SimilarityMap with SimilarityColumns.from_similarity_map"
             )
+        if similarity_map is not None:
+            similarity_map = _checked_edge_ids(self.graph, similarity_map)
         tracer = self.tracer
         span_attrs: Dict[str, Any] = dict(
             backend=self.backend,

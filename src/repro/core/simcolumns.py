@@ -249,20 +249,53 @@ def list_order(u: np.ndarray, v: np.ndarray, sim: np.ndarray) -> np.ndarray:
 def _stable_descending(sim: np.ndarray) -> np.ndarray:
     """``np.argsort(-sim, kind="stable")``, computed faster.
 
-    An unstable argsort (NumPy's vectorized quicksort) ranks the rows;
-    one direct sort of the packed ``(run of equal similarity, row)``
-    keys then puts every tie run back in row order.  Both keys are
-    below ``len(sim)``, so the packing fits an int64 for any K1.
+    An unstable argsort (NumPy's vectorized quicksort) ranks the rows
+    and numbers the runs of equal similarity; one
+    :func:`_stable_argsort` of each row's run number then puts every
+    tie run back in row order.
     """
     total = len(sim)
     order = np.argsort(-sim)
     ranked = sim[order]
     runs = np.zeros(total, dtype=np.int64)
     np.cumsum(ranked[1:] != ranked[:-1], out=runs[1:])
-    runs *= total
-    runs += order
-    runs.sort()
-    return runs % total
+    run_of_row = np.empty(total, dtype=np.int64)
+    run_of_row[order] = runs
+    return _stable_argsort(run_of_row, total)[1]
+
+
+#: Exclusive upper bound of an int64: packed keys must stay below it.
+_INT64_LIMIT = 2**63
+
+
+def _fits_int64(bound: int) -> bool:
+    """Whether non-negative keys below ``bound`` (a Python int) fit an int64."""
+    return bound <= _INT64_LIMIT
+
+
+def _stable_argsort(
+    key: np.ndarray, bound: int, unique: bool = False
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``(sorted key, stable permutation)`` of non-negative int64 keys.
+
+    ``bound`` is an exclusive upper bound of the keys.  When the packed
+    ``key * len + row`` fits an int64, one direct sort of that column
+    replaces the indirect stable argsort plus gather (about half the
+    time).  Otherwise the argsort runs; for ``unique`` keys it is the
+    unstable one (several times faster), since unique keys allow only
+    one permutation.  ``key`` is consumed: it may be overwritten in
+    place.
+    """
+    total = len(key)
+    if not _fits_int64(bound * max(total, 1)):
+        order = np.argsort(key, kind=None if unique else "stable")
+        return key[order], order
+    key *= total
+    key += np.arange(total, dtype=np.int64)
+    key.sort()
+    order = key % total
+    key //= total
+    return key, order
 
 
 # ----------------------------------------------------------------------
@@ -282,6 +315,14 @@ def _edge_arrays(graph: Graph) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     )
     weights = np.asarray(graph.edge_weights(), dtype=np.float64)
     return ends[0::2], ends[1::2], weights
+
+
+def _pair_keys(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
+    """Packed int64 ``a * n + b`` keys, whatever the inputs' int dtype."""
+    keys = a.astype(np.int64)
+    keys *= n
+    keys += b
+    return keys
 
 
 def _edge_key_table(graph: Graph) -> Tuple[np.ndarray, np.ndarray, int]:
@@ -306,9 +347,7 @@ def _lookup_edge_ids(
     b: np.ndarray,
 ) -> np.ndarray:
     """Edge ids of vertex pairs ``(a, b)`` (any endpoint order)."""
-    lo = np.minimum(a, b)
-    hi = np.maximum(a, b)
-    queries = lo * n + hi
+    queries = _pair_keys(np.minimum(a, b), np.maximum(a, b), n)
     pos = np.searchsorted(sorted_keys, queries)
     in_range = pos < len(sorted_keys)
     if not np.all(in_range) or np.any(
@@ -316,6 +355,26 @@ def _lookup_edge_ids(
     ):
         raise ClusteringError("wedge references a missing edge (bug)")
     return eids[pos]
+
+
+def _resolve_edge_ids(
+    key_table: Tuple[np.ndarray, np.ndarray, int],
+    u: np.ndarray,
+    v: np.ndarray,
+    counts: np.ndarray,
+    commons: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Edge ids of every witness's ``(u, k)`` and ``(v, k)`` edges.
+
+    ``u``/``v``/``counts`` describe the pairs and ``commons`` their
+    witnesses in CSR order; ``key_table`` is :func:`_edge_key_table`'s.
+    A wedge whose edges are not in the table raises
+    :class:`ClusteringError`.
+    """
+    sorted_keys, eids, n = key_table
+    e1 = _lookup_edge_ids(sorted_keys, eids, n, np.repeat(u, counts), commons)
+    e2 = _lookup_edge_ids(sorted_keys, eids, n, np.repeat(v, counts), commons)
+    return e1, e2
 
 
 def wedge_edge_arrays(
@@ -327,21 +386,69 @@ def wedge_edge_arrays(
     ``(u, k)`` and ``(v, k)`` — the two edges each MERGE call joins —
     aligned with ``columns.common_neighbors``.  Columns from Phase I
     carry them (``edge_uk``/``edge_vk``, returned as they are, int32
-    when |E| < 2³¹).  Columns without them (built by hand or from a
-    dict map) are resolved by a vectorized binary search over the
-    sorted edge keys; a miss raises :class:`ClusteringError` (it would
-    mean the columns disagree with the graph).
+    when |E| < 2³¹; :func:`_checked_edge_ids` vets columns from outside
+    the run).  Columns without them (built by hand or from a dict map)
+    are resolved by a vectorized binary search over the sorted edge
+    keys; a miss raises :class:`ClusteringError` (it would mean the
+    columns disagree with the graph).
     """
     if columns.k2 == 0:
         empty_i = np.empty(0, dtype=np.int64)
         return empty_i, empty_i.copy()
     if columns.edge_uk is not None:
         return columns.edge_uk, columns.edge_vk
+    return _resolve_edge_ids(
+        _edge_key_table(graph),
+        columns.u,
+        columns.v,
+        columns.pair_counts(),
+        columns.common_neighbors,
+    )
+
+
+def _checked_edge_ids(graph: Graph, columns: SimilarityColumns) -> SimilarityColumns:
+    """``columns``, minus carried edge ids that are not ``graph``'s.
+
+    Carried ids are trusted by every later stage, so columns that come
+    from outside the run (computed on another graph, or on the same
+    edges in another id order) are vetted once: each id must be in range
+    and name the edge between the witness and its pair end, which takes
+    K2-long gathers and compares, not binary searches.  Columns that
+    fail lose their ids, so :func:`wedge_edge_arrays` resolves the
+    stream from ``graph`` itself — exact for a reordered edge list, a
+    :class:`ClusteringError` for columns that do not fit the graph.
+    """
+    if columns.edge_uk is None or columns.k2 == 0:
+        return columns
+    m = graph.num_edges
+    eu, ev, _ = _edge_arrays(graph)
     counts = columns.pair_counts()
-    a = np.repeat(columns.u, counts)
-    b = np.repeat(columns.v, counts)
     k = columns.common_neighbors
-    sorted_keys, eids, n = _edge_key_table(graph)
-    e1 = _lookup_edge_ids(sorted_keys, eids, n, a, k)
-    e2 = _lookup_edge_ids(sorted_keys, eids, n, b, k)
-    return e1, e2
+    for ends, ids in ((columns.u, columns.edge_uk), (columns.v, columns.edge_vk)):
+        if int(ids.min()) < 0 or int(ids.max()) >= m:
+            return columns.without_edge_ids()
+        a = np.repeat(ends, counts)
+        if not (
+            np.array_equal(eu[ids], np.minimum(a, k))
+            and np.array_equal(ev[ids], np.maximum(a, k))
+        ):
+            return columns.without_edge_ids()
+    return columns
+
+
+def _sorted_merge_stream(
+    graph: Graph, columns: SimilarityColumns, index_arr: np.ndarray
+) -> Tuple[SimilarityColumns, np.ndarray, np.ndarray]:
+    """List ``L`` plus its ``c1``/``c2`` merge stream (indices into ``C``).
+
+    ``index_arr`` maps edge ids to positions in array ``C``.  The sorted
+    columns come back without their carried edge ids: once mapped
+    through ``index_arr`` they are dead weight for the sweep.
+    """
+    sorted_columns = columns.sort_pairs()
+    e1, e2 = wedge_edge_arrays(graph, sorted_columns)
+    sorted_columns = sorted_columns.without_edge_ids()
+    c1 = index_arr[e1] if len(e1) else np.empty(0, dtype=np.int64)
+    del e1
+    c2 = index_arr[e2] if len(e2) else np.empty(0, dtype=np.int64)
+    return sorted_columns, c1, c2

@@ -71,7 +71,14 @@ from typing import Iterator, List, Optional, Tuple
 import numpy as np
 
 from repro.core.cancel import CancelToken
-from repro.core.simcolumns import SimilarityColumns, list_order, wedge_edge_arrays
+from repro.core.simcolumns import (
+    SimilarityColumns,
+    _edge_key_table,
+    _pair_keys,
+    _resolve_edge_ids,
+    _sorted_merge_stream,
+    list_order,
+)
 from repro.errors import ParameterError
 from repro.graph.graph import Graph
 from repro.obs import as_tracer
@@ -302,23 +309,6 @@ class InMemoryPairStore(PairStore):
             yield w0, w1
 
 
-def _sorted_merge_stream(
-    graph: Graph, columns: SimilarityColumns, index_arr: np.ndarray
-) -> Tuple[SimilarityColumns, np.ndarray, np.ndarray]:
-    """List ``L`` plus its ``c1``/``c2`` merge stream (indices into ``C``).
-
-    The sorted columns come back without their carried edge ids: once
-    mapped through ``index_arr`` they are dead weight for the sweep.
-    """
-    sorted_columns = columns.sort_pairs()
-    e1, e2 = wedge_edge_arrays(graph, sorted_columns)
-    sorted_columns = sorted_columns.without_edge_ids()
-    c1 = index_arr[e1] if len(e1) else np.empty(0, dtype=np.int64)
-    del e1
-    c2 = index_arr[e2] if len(e2) else np.empty(0, dtype=np.int64)
-    return sorted_columns, c1, c2
-
-
 class _RunFile:
     """One spilled sorted run: six memmapped sections plus a cursor."""
 
@@ -439,29 +429,23 @@ def _spill_wedge_run(
 
     Records are ``(rank, c1, c2, wprod)`` with ``rank`` the pair's index
     in the global ``(u, v)`` table and ``c1``/``c2`` the wedge's two
-    carried edge ids mapped into array ``C``.  The sort key is the
-    packed ``(rank, centre)`` pair, unique per wedge, so each pair's
-    wedges end up in ascending-centre order (the oracle's) whatever
-    order the generator emits them in.  ``counts`` accumulates per-pair
-    wedge counts in place.  Returns ``None`` for wedge-free chunks.
+    carried edge ids mapped into array ``C``.  ``chunk`` is ascending
+    and the generator emits wedges centre by centre, so the stable sort
+    by rank keeps each pair's wedges in ascending-centre order (the
+    oracle's).  ``counts`` accumulates per-pair wedge counts in place.
+    Returns ``None`` for wedge-free chunks.
     """
-    from repro.fast.similarity import _sort_with_order, _wedge_columns
+    from repro.fast.similarity import _wedge_columns
 
-    w_u, w_v, w_k, w_prod, e_uk, e_vk = _wedge_columns(
+    w_u, w_v, _w_k, w_prod, e_uk, e_vk = _wedge_columns(
         indptr, indices, weights, eids, vertices=chunk
     )
     if len(w_u) == 0:
         return None
     rank = np.searchsorted(table, _pair_keys(w_u, w_v, n))
-    del w_u, w_v
-    if len(table) * n < 2**63:
-        rank *= n
-        rank += w_k
-        key, order = _sort_with_order(rank, len(table) * n)
-        rank = key // n
-    else:
-        order = np.lexsort((w_k, rank))
-        rank = rank[order]
+    del w_u, w_v, _w_k
+    order = np.argsort(rank, kind="stable")
+    rank = rank[order]
     c1 = index_arr[e_uk[order]]
     c2 = index_arr[e_vk[order]]
     w_prod = w_prod[order]
@@ -472,14 +456,6 @@ def _spill_wedge_run(
         handle.write(np.ascontiguousarray(c2, dtype=np.int64).tobytes())
         handle.write(np.ascontiguousarray(w_prod, dtype=np.float64).tobytes())
     return _WedgeRunReader(path, len(rank))
-
-
-def _pair_keys(w_u: np.ndarray, w_v: np.ndarray, n: int) -> np.ndarray:
-    """Packed int64 ``u * n + v`` keys of the wedges' vertex pairs."""
-    keys = w_u.astype(np.int64)
-    keys *= n
-    keys += w_v
-    return keys
 
 
 class _WedgeRunReader:
@@ -766,8 +742,9 @@ class MmapPairStore(PairStore):
         k1 = columns.k1
         counts = columns.pair_counts()
         costs = _PAIR_BYTES + counts * _WEDGE_BYTES
-        # Phase I columns carry these; others resolve them once here.
-        e1, e2 = wedge_edge_arrays(graph, columns)
+        # Phase I columns carry their edge ids; others resolve each
+        # run's slice from one shared key table.
+        key_table = None if columns.edge_uk is not None else _edge_key_table(graph)
         runs: List[_RunFile] = []
         start = 0
         while start < k1:
@@ -783,7 +760,7 @@ class MmapPairStore(PairStore):
             ):
                 path = os.path.join(spill_dir, f"run{len(runs)}.bin")
                 nbytes = MmapPairStore._write_run(
-                    path, columns, e1, e2, index_arr, start, stop
+                    path, columns, key_table, index_arr, start, stop
                 )
             tracer.count("spill_runs")
             tracer.count("bytes_spilled", nbytes)
@@ -801,16 +778,17 @@ class MmapPairStore(PairStore):
     def _write_run(
         path: str,
         columns: SimilarityColumns,
-        e1: np.ndarray,
-        e2: np.ndarray,
+        key_table,
         index_arr: np.ndarray,
         start: int,
         stop: int,
     ) -> int:
         """Sort pairs ``[start, stop)`` and write them as one run file.
 
-        ``e1``/``e2`` are the columns' K2 edge-id stream.  Run files use
-        the ``pairs.bin`` layout over the run's own k1/k2, so the merge
+        The run's edge ids are a gather of the columns' carried ids, or,
+        for columns without them, resolved here from ``key_table`` (so
+        only one run's worth is ever resident).  Run files use the
+        ``pairs.bin`` layout over the run's own k1/k2, so the merge
         reads them through the same :class:`PairFileSpec` machinery.
         """
         u = columns.u[start:stop]
@@ -825,8 +803,16 @@ class MmapPairStore(PairStore):
         old_starts = columns.common_offsets[start:stop][order]
         gather = np.repeat(old_starts - run_offsets[:-1], counts_sorted)
         gather += np.arange(total, dtype=np.int64)
-        c1 = index_arr[e1[gather]]
-        c2 = index_arr[e2[gather]]
+        if key_table is None:
+            e1 = columns.edge_uk[gather]
+            e2 = columns.edge_vk[gather]
+        else:
+            e1, e2 = _resolve_edge_ids(
+                key_table, u[order], v[order], counts_sorted,
+                columns.common_neighbors[gather],
+            )
+        c1 = index_arr[e1]
+        c2 = index_arr[e2]
         with open(path, "wb") as handle:
             handle.write(np.ascontiguousarray(sim[order]).tobytes())
             handle.write(np.ascontiguousarray(u[order]).tobytes())

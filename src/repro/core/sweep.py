@@ -22,7 +22,7 @@ import numpy as np
 from repro.cluster.dendrogram import Dendrogram, DendrogramBuilder
 from repro.cluster.unionfind import ChainArray
 from repro.core.cancel import CHECK_INTERVAL, CancelToken
-from repro.core.simcolumns import SimilarityColumns, wedge_edge_arrays
+from repro.core.simcolumns import SimilarityColumns, _sorted_merge_stream
 from repro.core.similarity import SimilarityMap, compute_similarity_map
 from repro.errors import ClusteringError
 from repro.graph.graph import Graph
@@ -197,25 +197,20 @@ def _columnar_sweep(
 
     The sort is one argsort (:func:`~repro.core.simcolumns.list_order`),
     the K2 wedge stream is the edge ids Phase I carried, gathered with
-    the sort (no per-wedge ``graph.edge_id`` dict lookups), and MERGE runs
+    the sort and mapped into array ``C`` in the same ``phase:sort`` span
+    (no per-wedge ``graph.edge_id`` dict lookups), and MERGE runs
     one :meth:`ChainArray.merge_run` kernel call per ``CHECK_INTERVAL``
     window of wedges, with the cancel checkpoint between windows.  Only
     genuine merges look up their pair's similarity.
     """
-    with tracer.span("phase:sort", k1=columns.k1):
-        columns = columns.sort_pairs()
     index = build_edge_index(graph, edge_order)
+    with tracer.span("phase:sort", k1=columns.k1):
+        columns, c1, c2 = _sorted_merge_stream(
+            graph, columns, np.asarray(index, dtype=np.int64)
+        )
     chain = ChainArray(graph.num_edges)
     builder = DendrogramBuilder(graph.num_edges)
     per_merge: Optional[List[int]] = [] if record_changes else None
-
-    e1, e2 = wedge_edge_arrays(graph, columns)
-    columns = columns.without_edge_ids()
-    index_arr = np.asarray(index, dtype=np.int64)
-    c1 = index_arr[e1]
-    del e1
-    c2 = index_arr[e2]
-    del e2
 
     merges: List[Tuple[int, int, int, int]] = []
     with tracer.span("phase:sweep"):

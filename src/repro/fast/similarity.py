@@ -33,7 +33,13 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.simcolumns import SimilarityColumns, _edge_arrays
+from repro.core.simcolumns import (
+    SimilarityColumns,
+    _edge_arrays,
+    _fits_int64,
+    _pair_keys,
+    _stable_argsort,
+)
 from repro.errors import ClusteringError
 from repro.graph.graph import Graph
 from repro.obs import as_tracer
@@ -197,12 +203,14 @@ def _group_wedges(
     matching the reference's insertion order — and segment-reduces.
     Every wedge key ``(u, v, k)`` is globally unique, so when the three
     components pack into one int64 a single sort of the packed key
-    (:func:`_sort_with_order`) yields the exact same permutation as the
-    three-pass stable lexsort at a fraction of the cost; the lexsort
-    stays as the fallback for vertex counts too large to pack.  Returns ``(pair_u,
-    pair_v, dots, offsets, commons, e_uk, e_vk)`` — the accumulated map
-    ``M`` before the adjacency correction, with the witnesses' edge ids
-    permuted alongside ``commons``.
+    (:func:`~repro.core.simcolumns._stable_argsort`) yields the exact
+    same permutation as the three-pass stable lexsort at a fraction of
+    the cost; the lexsort stays as the fallback for vertex counts too
+    large to pack (2**21 and up).  Returns ``(pair_u, pair_v, dots,
+    offsets, commons, e_uk, e_vk)`` — the accumulated map ``M`` before
+    the adjacency correction, with the witnesses' edge ids permuted
+    alongside ``commons``.  The vertex columns keep the input dtype on
+    the fallback (int32 from an int32 CSR).
     """
     w_u, w_v, w_k, w_prod, e_uk, e_vk = wedges
     wedges.clear()
@@ -218,14 +226,12 @@ def _group_wedges(
             e_vk,
         )
     hi = int(max(w_u.max(), w_v.max(), w_k.max())) + 1
-    if hi**3 < 2**63:
-        key = w_u.astype(np.int64)
-        key *= hi
-        key += w_v
+    if _fits_int64(hi**3):
+        key = _pair_keys(w_u, w_v, hi)
         key *= hi
         key += w_k
         del w_u, w_v, w_k
-        key, order = _sort_with_order(key, hi**3)
+        key, order = _stable_argsort(key, hi**3, unique=True)
         w_prod = w_prod[order]
         e_uk = e_uk[order]
         e_vk = e_vk[order]
@@ -256,26 +262,6 @@ def _group_wedges(
         e_uk,
         e_vk,
     )
-
-
-def _sort_with_order(key: np.ndarray, bound: int) -> Tuple[np.ndarray, np.ndarray]:
-    """``(sorted key, permutation)`` of unique non-negative keys ``< bound``.
-
-    When ``key * len + row`` fits in an int64, one direct sort of that
-    packed column replaces the indirect ``argsort`` plus gather (about
-    half the time); both give the one permutation unique keys allow.
-    ``key`` is consumed: it may be overwritten in place.
-    """
-    total = len(key)
-    if bound * total >= 2**63:
-        order = np.argsort(key)
-        return key[order], order
-    key *= total
-    key += np.arange(total, dtype=np.int64)
-    key.sort()
-    order = key % total
-    key //= total
-    return key, order
 
 
 def _group_starts(changed: np.ndarray) -> np.ndarray:
@@ -309,7 +295,7 @@ def _adjacency_weights(
     n = len(indptr) - 1
     rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
     slot_keys = rows * n + indices
-    queries = pair_u * n + pair_v
+    queries = _pair_keys(pair_u, pair_v, n)
     pos = np.minimum(np.searchsorted(slot_keys, queries), len(slot_keys) - 1)
     found = slot_keys[pos] == queries
     found_weights[found] = weights[pos[found]]

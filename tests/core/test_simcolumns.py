@@ -19,7 +19,8 @@ from repro.errors import ClusteringError, ParameterError
 from repro.fast.similarity import fast_similarity_columns
 from repro.graph import generators
 from repro.graph.graph import Graph
-from repro.obs import MemorySink, Tracer
+from repro.fast import similarity as fs
+from repro.obs import MemorySink, Tracer, as_tracer
 from repro.parallel.par_init import parallel_similarity_columns
 
 
@@ -440,3 +441,155 @@ class TestInitSpans:
         spans = {s.name: s for s in sink.spans}
         assert spans["init:pass2"].attrs["workers"] == 2
         assert spans["init:pass3"].attrs["workers"] == 1
+
+
+class TestCheckedEdgeIds:
+    """Carried ids from outside the run are vetted against the run's graph."""
+
+    CONFIG = RunConfig(coarse=CoarseParams(), engine="batch")
+
+    @staticmethod
+    def reordered(graph):
+        """The same graph (same vertex ids) with its edge ids reversed."""
+        other = Graph()
+        for label in graph.vertex_labels():
+            other.add_vertex(label)
+        for eid in reversed(range(graph.num_edges)):
+            u, v = graph.edge_endpoints(eid)
+            other.add_edge(
+                graph.vertex_label(u), graph.vertex_label(v), graph.edge_weight(eid)
+            )
+        return other
+
+    def test_matching_ids_pass_through(self, planted):
+        cols = fast_similarity_columns(planted)
+        assert simcolumns._checked_edge_ids(planted, cols) is cols
+
+    def test_reordered_edge_list_clusters_correctly(self, weighted_caveman):
+        cols = fast_similarity_columns(weighted_caveman)
+        other = self.reordered(weighted_caveman)
+        assert simcolumns._checked_edge_ids(other, cols).edge_uk is None
+        reference = LinkClustering(other, config=self.CONFIG).run(
+            similarity_map=fast_similarity_columns(other)
+        )
+        result = LinkClustering(other, config=self.CONFIG).run(similarity_map=cols)
+        assert dumps_dendrogram(result.dendrogram) == dumps_dendrogram(
+            reference.dendrogram
+        )
+        assert list(result.chain.raw()) == list(reference.chain.raw())
+
+    def test_columns_of_another_graph_raise(self, weighted_caveman):
+        cols = fast_similarity_columns(weighted_caveman)
+        other = Graph.from_edge_list([(i, (i + 1) % 20) for i in range(20)])
+        with pytest.raises(ClusteringError):
+            LinkClustering(other, config=self.CONFIG).run(similarity_map=cols)
+
+    def test_out_of_range_ids_are_dropped(self, planted):
+        cols = fast_similarity_columns(planted)
+        bad = SimilarityColumns(
+            u=cols.u, v=cols.v, sim=cols.sim, common_offsets=cols.common_offsets,
+            common_neighbors=cols.common_neighbors,
+            edge_uk=cols.edge_uk + planted.num_edges, edge_vk=cols.edge_vk,
+        )
+        assert simcolumns._checked_edge_ids(planted, bad).edge_uk is None
+
+
+class TestStableArgsort:
+    @settings(max_examples=60, deadline=None)
+    @given(keys=st.lists(st.integers(0, 9), max_size=50), seed=st.integers(0, 2**16))
+    def test_property_both_branches_are_the_stable_argsort(self, keys, seed):
+        key = np.asarray(keys, dtype=np.int64)
+        unique_key = np.random.default_rng(seed).permutation(len(keys)).astype(np.int64)
+        for key, unique in ((key, False), (unique_key, True)):
+            expected = np.argsort(key, kind="stable")
+            bound = int(key.max()) + 1 if len(key) else 1
+            # 2**63 packs no two rows into an int64: the argsort fallback.
+            for bound in (bound, 2**63):
+                sorted_key, order = simcolumns._stable_argsort(
+                    key.copy(), bound, unique=unique
+                )
+                np.testing.assert_array_equal(order, expected)
+                np.testing.assert_array_equal(sorted_key, key[expected])
+
+    @pytest.mark.parametrize(
+        "settings_",
+        [
+            dict(coarse=CoarseParams(), engine="batch"),
+            dict(),
+            dict(coarse=CoarseParams(), engine="batch", pairs_format="mmap",
+                 memory_budget_bytes=2048),
+        ],
+        ids=["batch", "fine", "mmap-spill"],
+    )
+    def test_unpacked_sorts_give_the_same_run(self, settings_, monkeypatch, tmp_path):
+        """With no key fitting an int64, every packed sort (wedge grouping
+        and list L's stable order, in memory or streamed) takes its
+        fallback."""
+        if "pairs_format" in settings_:
+            settings_ = dict(settings_, storage_dir=str(tmp_path))
+        config = RunConfig(**settings_)
+        g = generators.caveman_graph(3, 6, weight=generators.random_weights(seed=4))
+        reference = LinkClustering(g, config=config).run()
+        monkeypatch.setattr(simcolumns, "_INT64_LIMIT", 0)
+        result = LinkClustering(g, config=config).run()
+        assert dumps_dendrogram(result.dendrogram) == dumps_dendrogram(
+            reference.dendrogram
+        )
+
+
+class TestWideVertexIds:
+    """Vertex ids of 2**21 and up cannot pack a ``(u, v, k)`` wedge key
+    into an int64, so wedge grouping takes the lexsort."""
+
+    def test_lexsort_grouping_matches_compact_ids(self):
+        g = generators.caveman_graph(3, 5, weight=generators.random_weights(seed=2))
+        expected = fast_similarity_columns(g)
+        indptr, indices, weights, eids = fs._csr_arrays(g)
+        # The same CSR with 2**21 empty rows in front: every vertex id
+        # shifts past the packing limit, the columns stay int32.
+        shift = 2**21
+        wide_indptr = np.concatenate([np.zeros(shift, dtype=np.int64), indptr])
+        wide_indices = (indices + shift).astype(np.int32)
+        h1, h2 = fs._h_arrays_columnar(wide_indptr, weights)
+        grouped = fs._group_wedges(
+            fs._wedge_columns(wide_indptr, wide_indices, weights, eids)
+        )
+        cols = fs._finish_columns(
+            wide_indptr, wide_indices, weights, h1, h2, grouped, as_tracer(None)
+        )
+        np.testing.assert_array_equal(cols.u - shift, expected.u)
+        np.testing.assert_array_equal(cols.v - shift, expected.v)
+        np.testing.assert_array_equal(
+            cols.common_neighbors - shift, expected.common_neighbors
+        )
+        np.testing.assert_array_equal(cols.common_offsets, expected.common_offsets)
+        np.testing.assert_array_equal(cols.edge_uk, expected.edge_uk)
+        np.testing.assert_array_equal(cols.edge_vk, expected.edge_vk)
+        # Adjacent pairs get the (H1[i] + H1[j]) w_ij correction too.
+        np.testing.assert_array_equal(cols.sim, expected.sim)
+
+
+class TestSpilledBuildOfIdlessColumns:
+    def test_resolves_one_run_at_a_time(self, monkeypatch, tmp_path):
+        g = generators.caveman_graph(3, 6, weight=generators.random_weights(seed=4))
+        cols = fast_similarity_columns(g)
+        config = RunConfig(
+            coarse=CoarseParams(), engine="batch", pairs_format="mmap",
+            memory_budget_bytes=2048, storage_dir=str(tmp_path),
+        )
+        reference = LinkClustering(g, config=config).run(similarity_map=cols)
+        sizes = []
+        lookup = simcolumns._lookup_edge_ids
+
+        def recording(sorted_keys, eids, n, a, b):
+            sizes.append(len(a))
+            return lookup(sorted_keys, eids, n, a, b)
+
+        monkeypatch.setattr(simcolumns, "_lookup_edge_ids", recording)
+        result = LinkClustering(g, config=config).run(
+            similarity_map=cols.without_edge_ids()
+        )
+        assert dumps_dendrogram(result.dendrogram) == dumps_dendrogram(
+            reference.dendrogram
+        )
+        assert len(sizes) > 2 and max(sizes) < cols.k2
