@@ -99,8 +99,9 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
         type=int,
         metavar="N",
         default=None,
-        help="RAM cap for building/reading the out-of-core store; "
-        "exceeding it spills sorted runs and external-merges them "
+        help="RAM cap for building/reading the out-of-core store: the "
+        "build writes list L in windows of this size, and the streaming "
+        "Phase I spills wedge runs of this size and merges them "
         "(--pairs-format mmap only)",
     )
     parser.add_argument(

@@ -303,7 +303,6 @@ class _CoarseSweeper:
         # itself, streaming: wedges spill in center chunks and merge
         # straight into the pair file, so no K2-sized array ever exists.
         self.store = None
-        self.columns: Optional[SimilarityColumns] = None
         self.pairs: Optional[
             List[Tuple[float, Tuple[int, int], Tuple[int, ...]]]
         ] = None
@@ -331,7 +330,6 @@ class _CoarseSweeper:
                     tracer=self.tracer,
                     cancel=cancel,
                 )
-            self.columns = getattr(self.store, "columns", None)
         else:
             self.k1 = similarity_map.k1
             self.k2 = similarity_map.k2
@@ -905,7 +903,10 @@ def coarse_sweep(
     :class:`CoarseParams` controlling the dendrogram shape;
     ``similarity_map`` may be the dict or the columnar Phase-I output
     (identical results — the columnar path precomputes the K2 stream
-    vectorized).  ``engine`` selects the chunk merge engine:
+    vectorized).  Edge ids carried by caller columns are trusted here,
+    not checked against ``graph``; :meth:`LinkClustering.run
+    <repro.core.linkclust.LinkClustering.run>` is the entry that vets
+    them.  ``engine`` selects the chunk merge engine:
     ``"chained"`` (sequential MERGE, the oracle), ``"batch"``
     (per-level vectorized connected components), or ``"sharded"``
     (owner-computes contiguous C shards — ``num_shards`` of them,
@@ -922,13 +923,14 @@ def coarse_sweep(
     boundary (:class:`~repro.errors.RunCancelledError` when triggered).
     ``storage`` selects the pair-store backing
     (:class:`~repro.core.storage.StorageSettings`): the default keeps
-    list L in RAM; ``kind="mmap"`` builds the out-of-core store (with
-    spill-and-merge when ``memory_budget_bytes`` is exceeded) and the
+    list L in RAM; ``kind="mmap"`` writes it to one pair file, the K2
+    columns a ``memory_budget_bytes``-sized window at a time, and the
     sweep reads it through bounded windows — results are bitwise
     identical either way.  With mmap storage and no ``similarity_map``,
     Phase I runs *inside* the store init, streaming wedge chunks to
-    spilled runs so no K2-sized array is ever resident.  The store — and its spill directory — is
-    released before this returns, even on cancellation or error.
+    spilled runs so no K2-sized array is ever resident.  The store —
+    and its spill directory — is released before this returns, even on
+    cancellation or error.
     """
     # With an mmap store there is no need to materialize Phase I here:
     # the store's streaming init computes similarities chunk by chunk.

@@ -94,10 +94,11 @@ class RunConfig:
         sweep finishes, succeeds or not.
     memory_budget_bytes:
         RAM cap for building and reading the out-of-core store
-        (``pairs_format="mmap"`` only).  When the pair data exceeds
-        it, the build spills sorted runs to disk and external-merges
-        them; ``None`` sorts in memory and only the storage is
-        file-backed.
+        (``pairs_format="mmap"`` only).  The build writes list L's
+        merge stream to the pair file in windows of this size, and the
+        streaming Phase I of a serial run spills wedge runs of this
+        size to disk and merges them; ``None`` builds in one window
+        and only the storage is file-backed.
     profile:
         Collect a trace and print a human-readable summary at the end
         of the run.

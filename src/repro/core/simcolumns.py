@@ -18,11 +18,13 @@ arrays instead of a Python dict of tuples:
 Every downstream stage of the run becomes a C-speed kernel over these
 columns: sorting list ``L`` is one stable argsort on ``-sim`` when the
 rows are already in ``(u, v)`` order, as Phase I emits them (a
-three-key lexsort otherwise), plus one CSR gather
-(:meth:`SimilarityColumns.sort_pairs`); the sweep's K2-long merge
-stream is the carried edge ids (:func:`wedge_edge_arrays`, which
-resolves them from the graph only for columns that lack them); and the
-parallel layer can ship the columns zero-copy through shared memory.
+three-key lexsort otherwise, :func:`list_order`), plus one
+:class:`ListGather` that says where each pair's wedges sit; the sweep's
+K2-long merge stream is the carried edge ids put in list ``L`` order by
+that gather (resolved from the graph only for columns that lack them),
+in one window for the in-memory store and a bounded window at a time
+for the out-of-core builds; and the parallel layer can ship the columns
+zero-copy through shared memory.
 The dict-based :class:`~repro.core.similarity.SimilarityMap` remains
 the pure-Python oracle; the two representations convert losslessly in
 both directions.
@@ -32,7 +34,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
-from typing import Dict, Optional, Tuple
+from typing import Dict, Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -40,7 +42,7 @@ from repro.core.similarity import SimilarityMap, VertexPairEntry
 from repro.errors import ClusteringError, ParameterError
 from repro.graph.graph import Graph
 
-__all__ = ["SimilarityColumns", "list_order", "wedge_edge_arrays"]
+__all__ = ["ListGather", "SimilarityColumns", "list_order", "wedge_edge_arrays"]
 
 
 @dataclass(frozen=True)
@@ -204,28 +206,23 @@ class SimilarityColumns:
     def sort_pairs(self) -> "SimilarityColumns":
         """List ``L`` as new columns: non-increasing similarity, ties by
         ``(u, v)`` — exactly :meth:`SimilarityMap.sorted_pairs` order,
-        computed as one argsort (:func:`list_order`) plus a CSR gather
-        of the witnesses and any carried edge ids, instead of a Python
-        sort over K1 tuples."""
+        computed as one argsort (:func:`list_order`) plus one
+        :class:`ListGather` of the witnesses and any carried edge ids,
+        instead of a Python sort over K1 tuples."""
         if self.k1 == 0:
             return self
         order = list_order(self.u, self.v, self.sim)
-        counts = self.pair_counts()[order]
-        new_offsets = np.zeros(self.k1 + 1, dtype=np.int64)
-        np.cumsum(counts, out=new_offsets[1:])
-        # Gather the witness lists: wedge t of reordered pair j sits at
-        # old position old_starts[order[j]] + t.
-        gather = np.repeat(self.common_offsets[:-1][order] - new_offsets[:-1], counts)
-        gather += np.arange(self.k2, dtype=np.int64)
+        gather = ListGather(order, self.common_offsets)
+        pos = gather.positions(0, self.k1)
         carried = self.edge_uk is not None
         return SimilarityColumns(
             u=self.u[order],
             v=self.v[order],
             sim=self.sim[order],
-            common_offsets=new_offsets,
-            common_neighbors=self.common_neighbors[gather],
-            edge_uk=self.edge_uk[gather] if carried else None,
-            edge_vk=self.edge_vk[gather] if carried else None,
+            common_offsets=gather.offsets,
+            common_neighbors=self.common_neighbors[pos],
+            edge_uk=self.edge_uk[pos] if carried else None,
+            edge_vk=self.edge_vk[pos] if carried else None,
         )
 
 
@@ -244,6 +241,60 @@ def list_order(u: np.ndarray, v: np.ndarray, sim: np.ndarray) -> np.ndarray:
         if np.all((du > 0) | ((du == 0) & (v[1:] > v[:-1]))):
             return _stable_descending(sim)
     return np.lexsort((v, u, -sim))
+
+
+class ListGather:
+    """Where list ``L``'s wedges sit in a ``(u, v)``-grouped stream.
+
+    ``order`` is the K1 permutation into list ``L`` (:func:`list_order`)
+    and ``source_offsets`` the CSR row starts of the grouped stream it
+    permutes.  :attr:`offsets` are list ``L``'s own row starts: wedge
+    ``t`` of list-``L`` pair ``j`` sits at source position
+    ``source_offsets[order[j]] + t``.  Every pair store fills its K2
+    columns from :meth:`positions` — the in-memory store in one whole
+    window, the mmap builds a bounded window at a time
+    (:meth:`windows`).
+    """
+
+    def __init__(self, order: np.ndarray, source_offsets: np.ndarray):
+        self.order = order
+        self.starts = source_offsets[:-1][order]
+        # Built in place: no K1 temporaries beyond the two kept arrays.
+        self.offsets = np.zeros(len(order) + 1, dtype=np.int64)
+        ends = self.offsets[1:]
+        np.take(source_offsets[1:], order, out=ends)
+        ends -= self.starts
+        np.cumsum(ends, out=ends)
+
+    def positions(self, p0: int, p1: int) -> np.ndarray:
+        """Source positions of list-``L`` pairs ``[p0, p1)``'s wedges."""
+        offsets = self.offsets
+        w0 = int(offsets[p0])
+        pos = np.repeat(
+            self.starts[p0:p1] - (offsets[p0:p1] - w0), np.diff(offsets[p0 : p1 + 1])
+        )
+        pos += np.arange(int(offsets[p1]) - w0, dtype=np.int64)
+        return pos
+
+    def windows(
+        self, max_wedges: Optional[int] = None
+    ) -> Iterator[Tuple[int, int, np.ndarray]]:
+        """``(p0, p1, positions)`` over list ``L`` in windows of whole pairs.
+
+        A window holds at most ``max_wedges`` wedges, or one pair when a
+        single pair has more; ``None`` is one window over everything.
+        """
+        k1 = len(self.order)
+        offsets = self.offsets
+        p0 = 0
+        while p0 < k1:
+            p1 = k1
+            if max_wedges is not None:
+                limit = int(offsets[p0]) + max_wedges
+                j = int(np.searchsorted(offsets, limit, side="right")) - 1
+                p1 = min(k1, max(p0 + 1, j))
+            yield p0, p1, self.positions(p0, p1)
+            p0 = p1
 
 
 def _stable_descending(sim: np.ndarray) -> np.ndarray:
@@ -436,19 +487,56 @@ def _checked_edge_ids(graph: Graph, columns: SimilarityColumns) -> SimilarityCol
     return columns
 
 
+def _merge_stream_windows(
+    graph: Graph,
+    columns: SimilarityColumns,
+    index_arr: np.ndarray,
+    gather: ListGather,
+    max_wedges: Optional[int] = None,
+) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+    """List ``L``'s ``c1``/``c2`` merge stream, one window at a time.
+
+    ``gather`` orders ``columns`` into list ``L`` and ``index_arr`` maps
+    edge ids to positions in array ``C``.  Carried edge ids are gathered;
+    columns without them resolve each window's wedges from the graph's
+    edge keys, so only one window's lookups are ever resident.
+    """
+    carried = columns.edge_uk is not None
+    key_table = None if carried else _edge_key_table(graph)
+    for p0, p1, pos in gather.windows(max_wedges):
+        if carried:
+            e1 = columns.edge_uk[pos]
+            e2 = columns.edge_vk[pos]
+        else:
+            rows = gather.order[p0:p1]
+            e1, e2 = _resolve_edge_ids(
+                key_table,
+                columns.u[rows],
+                columns.v[rows],
+                np.diff(gather.offsets[p0 : p1 + 1]),
+                columns.common_neighbors[pos],
+            )
+        del pos
+        c1 = index_arr[e1]
+        del e1
+        c2 = index_arr[e2]
+        del e2
+        yield c1, c2
+
+
 def _sorted_merge_stream(
     graph: Graph, columns: SimilarityColumns, index_arr: np.ndarray
-) -> Tuple[SimilarityColumns, np.ndarray, np.ndarray]:
-    """List ``L`` plus its ``c1``/``c2`` merge stream (indices into ``C``).
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """List ``L`` as ``(sim, u, v, offsets, c1, c2)``, in one window.
 
-    ``index_arr`` maps edge ids to positions in array ``C``.  The sorted
-    columns come back without their carried edge ids: once mapped
-    through ``index_arr`` they are dead weight for the sweep.
+    ``c1``/``c2`` index array ``C`` (``index_arr`` maps edge ids to its
+    positions).  The witnesses themselves are not gathered: no sweep
+    reads them once the edge ids are mapped.
     """
-    sorted_columns = columns.sort_pairs()
-    e1, e2 = wedge_edge_arrays(graph, sorted_columns)
-    sorted_columns = sorted_columns.without_edge_ids()
-    c1 = index_arr[e1] if len(e1) else np.empty(0, dtype=np.int64)
-    del e1
-    c2 = index_arr[e2] if len(e2) else np.empty(0, dtype=np.int64)
-    return sorted_columns, c1, c2
+    order = list_order(columns.u, columns.v, columns.sim)
+    gather = ListGather(order, columns.common_offsets)
+    empty = np.empty(0, dtype=np.int64)
+    c1, c2 = next(
+        _merge_stream_windows(graph, columns, index_arr, gather), (empty, empty)
+    )
+    return columns.sim[order], columns.u[order], columns.v[order], gather.offsets, c1, c2

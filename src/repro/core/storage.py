@@ -8,35 +8,37 @@ bounded by *disk*, not RAM.  This module provides the abstraction:
   ``sim``/``u``/``v`` columns, the CSR ``offsets``, and the ``c1``/``c2``
   merge stream (edge indices into array ``C``), plus bounded *window*
   access for streaming consumers.
-* :class:`InMemoryPairStore` — today's behaviour, wrapping
-  :meth:`~repro.core.simcolumns.SimilarityColumns.sort_pairs` and the
-  edge ids Phase I carries (:func:`~repro.core.simcolumns.wedge_edge_arrays`).
-  This is the oracle:
-  every other store must be bitwise-identical to it at every dendrogram
-  level.
+* :class:`InMemoryPairStore` — list ``L`` as plain arrays.  This is the
+  oracle: every other store must be bitwise-identical to it at every
+  dendrogram level.
 * :class:`MmapPairStore` — the out-of-core store.  All six columns live
   in one flat binary file under a run-scoped spill directory, accessed
-  through read-only :class:`numpy.memmap` views.  When
-  ``memory_budget_bytes`` is smaller than the pair data, the build
-  spills budget-sized *sorted runs* to disk and an external k-way merge
-  (keyed ``(-sim, u, v)``, a strict total order because ``(u, v)`` is
-  unique) produces the globally sorted file without materializing all
-  of K2 in RAM.  The merge output is exactly list ``L``'s order —
-  ties included — so the store is bitwise-identical to the oracle.
+  through read-only :class:`numpy.memmap` views.
 
-Two build paths produce byte-identical files:
+Every store builds list ``L`` the same way.
+:func:`~repro.core.simcolumns.list_order` picks the K1 permutation
+(keyed ``(-sim, u, v)``, a strict total order because ``(u, v)`` is
+unique), and one :class:`~repro.core.simcolumns.ListGather` turns it
+into the positions of each pair's wedges in the ``(u, v)``-grouped
+stream, so ``c1``/``c2`` are filled by gathers: the in-memory store in
+one window, the mmap builds a budget-sized window at a time written
+straight to ``pairs.bin``.  The two mmap builds produce byte-identical
+files:
 
 * :meth:`MmapPairStore.build` starts from a materialized
   :class:`SimilarityColumns` (the parallel drivers' path — their hosts
-  already ran vectorized Phase I).
+  already ran vectorized Phase I).  The columns are in RAM already, so
+  nothing spills: ``memory_budget_bytes`` bounds each window's gather
+  (columns without carried edge ids resolve them a window at a time).
 * :meth:`MmapPairStore.build_streaming` starts from the *graph* and
   never holds a K2-sized array: wedges are enumerated in budget-bounded
   centre chunks, spilled as pair-rank-sorted runs, and merged
-  group-aligned — each pair's dot product is one
-  ``np.add.reduceat`` over its contiguous wedge slice, which reproduces
-  the oracle's pairwise summation bit for bit (``reduceat`` group sums
-  are a function of the group slice alone).  Only O(K1 + |E|) stays
-  resident; this is the serial mmap pipeline's init.
+  group-aligned into a ``(u, v)``-grouped temp file — each pair's dot
+  product is one ``np.add.reduceat`` over its contiguous wedge slice,
+  which reproduces the oracle's pairwise summation bit for bit
+  (``reduceat`` group sums are a function of the group slice alone).
+  The windowed gather then reads list ``L`` out of that file.  Only
+  O(K1 + |E|) stays resident; this is the serial mmap pipeline's init.
 
 The single-file layout (``pairs.bin``) is::
 
@@ -52,34 +54,35 @@ picklable, so parallel runtimes ship it to workers which map the file
 directly — zero-copy page-cache sharing in place of a second shared
 memory block and its per-run publish copy.
 
-Observability: building a spilled store emits one ``storage:spill``
-span per run (``spill_runs`` / ``bytes_spilled`` counters) and one
+Observability: the streaming build emits one ``storage:spill`` span per
+wedge run (``spill_runs`` / ``bytes_spilled`` counters) and one
 ``storage:merge`` span; every bounded window fetch is a
 ``storage:window`` span (``window_loads`` counter); both stores gauge
-``store_bytes``.
+``store_bytes``.  An :class:`OSError` while a build writes (a full disk,
+say) surfaces as :class:`~repro.errors.StorageError` naming the spill
+directory, which is removed first.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import heapq
 import os
 import shutil
 import tempfile
-from typing import Iterator, List, Optional, Tuple
+from typing import Callable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
 from repro.core.cancel import CancelToken
 from repro.core.simcolumns import (
+    ListGather,
     SimilarityColumns,
-    _edge_key_table,
+    _merge_stream_windows,
     _pair_keys,
-    _resolve_edge_ids,
     _sorted_merge_stream,
     list_order,
 )
-from repro.errors import ParameterError
+from repro.errors import ParameterError, StorageError
 from repro.graph.graph import Graph
 from repro.obs import as_tracer
 
@@ -112,10 +115,9 @@ class StorageSettings:
     ``kind`` is ``"memory"`` (default: plain arrays) or ``"mmap"`` (the
     out-of-core store).  ``storage_dir`` roots the run-scoped spill
     directory (system temp dir when ``None``); ``memory_budget_bytes``
-    caps how much pair data the mmap build holds in RAM at once — when
-    the pair data exceeds it, sorted runs spill to disk and are
-    external-merged.  ``None`` means "sort in memory, store on disk"
-    (no spill).
+    caps how much of the K2 merge stream the mmap build gathers at once
+    (the streaming build also spills its wedge runs in chunks of this
+    size).  ``None`` means one window: "sort in memory, store on disk".
     """
 
     kind: str = "memory"
@@ -256,28 +258,29 @@ class PairStore:
 
 
 class InMemoryPairStore(PairStore):
-    """The oracle: sorted columns + wedge stream as plain arrays."""
+    """The oracle: list ``L`` and its wedge stream as plain arrays."""
 
     kind = "memory"
 
     def __init__(
         self,
-        sorted_columns: SimilarityColumns,
+        sims: np.ndarray,
+        us: np.ndarray,
+        vs: np.ndarray,
+        offsets: np.ndarray,
         c1: np.ndarray,
         c2: np.ndarray,
         tracer=None,
     ):
-        tracer = as_tracer(tracer)
-        self.columns = sorted_columns
-        self.k1 = sorted_columns.k1
-        self.k2 = sorted_columns.k2
-        self.sims = sorted_columns.sim
-        self.us = sorted_columns.u
-        self.vs = sorted_columns.v
-        self.offsets = sorted_columns.common_offsets
+        self.k1 = len(sims)
+        self.k2 = len(c1)
+        self.sims = sims
+        self.us = us
+        self.vs = vs
+        self.offsets = offsets
         self.c1 = c1
         self.c2 = c2
-        tracer.gauge("store_bytes", self.store_bytes)
+        as_tracer(tracer).gauge("store_bytes", self.store_bytes)
 
     @classmethod
     def build(
@@ -287,8 +290,7 @@ class InMemoryPairStore(PairStore):
         index_arr: np.ndarray,
         tracer=None,
     ) -> "InMemoryPairStore":
-        sorted_columns, c1, c2 = _sorted_merge_stream(graph, columns, index_arr)
-        return cls(sorted_columns, c1, c2, tracer=tracer)
+        return cls(*_sorted_merge_stream(graph, columns, index_arr), tracer=tracer)
 
     @property
     def store_bytes(self) -> int:
@@ -307,32 +309,6 @@ class InMemoryPairStore(PairStore):
     def window_ranges(self, w0: int, w1: int) -> Iterator[Tuple[int, int]]:
         if w1 > w0:
             yield w0, w1
-
-
-class _RunFile:
-    """One spilled sorted run: six memmapped sections plus a cursor."""
-
-    def __init__(self, path: str, k1: int, k2: int):
-        self.path = path
-        self.k1 = k1
-        self.k2 = k2
-        spec = PairFileSpec(path=path, k1=k1, k2=k2)
-        self.sim = spec.open_sim()
-        self.u = spec.open_u()
-        self.v = spec.open_v()
-        self.offsets = spec.open_offsets()
-        self.c1 = spec.open_c1()
-        self.c2 = spec.open_c2()
-        self.pos = 0
-
-    def key(self) -> Tuple[float, int, int]:
-        pos = self.pos
-        return (-float(self.sim[pos]), int(self.u[pos]), int(self.v[pos]))
-
-    def release(self) -> None:
-        # Dropping the memmap references unmaps; then the file can go.
-        self.sim = self.u = self.v = self.offsets = self.c1 = self.c2 = None  # type: ignore[assignment]
-        os.unlink(self.path)
 
 
 class _SectionWriter:
@@ -361,9 +337,6 @@ class _SectionWriter:
         if self._buffered >= self._flush_elems:
             self.flush()
 
-    def append_scalar(self, value) -> None:
-        self.append(np.array([value], dtype=self._dtype))
-
     def flush(self) -> None:
         if not self._chunks:
             return
@@ -380,6 +353,16 @@ class _SectionWriter:
 _STREAM_RECORD_BYTES = 4 * _F8
 
 
+def _stream_records(budget: Optional[int]) -> int:
+    """Wedge records the streaming build holds per budget.
+
+    Each buffered record costs about twice its size while it is sorted;
+    an unbounded build works in 64 MiB steps.
+    """
+    effective = budget if budget is not None else 16 * DEFAULT_WINDOW_BYTES
+    return effective // (2 * _STREAM_RECORD_BYTES)
+
+
 def _center_chunks(indptr: np.ndarray, budget: Optional[int]) -> List[List[int]]:
     """Partition wedge centres into budget-bounded enumeration chunks.
 
@@ -387,17 +370,16 @@ def _center_chunks(indptr: np.ndarray, budget: Optional[int]) -> List[List[int]]
     buffered wedge costs ~2x its record during the chunk sort, so the
     cap is ``budget / (2 * record)`` wedges.  Every chunk holds at least
     one centre (a single high-degree centre may exceed the cap — the
-    same way a single pair can exceed a run budget in the columns path).
+    same way a single pair can exceed a gather window).
     """
     degrees = np.diff(indptr)
     centers = np.flatnonzero(degrees >= 2)
     if len(centers) == 0:
         return []
     wedge_counts = (degrees[centers] * (degrees[centers] - 1)) // 2
-    effective = budget if budget is not None else 16 * DEFAULT_WINDOW_BYTES
     # Floor of 16 wedges: tiny test budgets still get multi-chunk spills
     # without degenerating into one run per wedge.
-    cap = max(16, effective // (2 * _STREAM_RECORD_BYTES))
+    cap = max(16, _stream_records(budget))
     chunks: List[List[int]] = []
     current: List[int] = []
     spent = 0
@@ -558,8 +540,7 @@ def _merge_wedge_runs(
     ``temp_path`` interleaved, in pair-table order.
     """
     k1 = len(dots)
-    effective = budget if budget is not None else 16 * DEFAULT_WINDOW_BYTES
-    window_elems = max(1024, effective // (2 * _STREAM_RECORD_BYTES))
+    window_elems = max(1024, _stream_records(budget))
     with open(temp_path, "wb") as temp:
         p0 = 0
         while p0 < k1:
@@ -589,40 +570,55 @@ def _merge_wedge_runs(
             p0 = p1
 
 
-def _copy_in_list_order(
-    stream: np.ndarray,
-    starts: np.ndarray,
-    final_offsets: np.ndarray,
-    budget: Optional[int],
-    c1_w: _SectionWriter,
-    c2_w: _SectionWriter,
-) -> None:
-    """Copy the grouped ``(c1, c2)`` stream into list ``L`` order.
+def _interleaved_windows(
+    stream: np.ndarray, gather: ListGather, max_wedges: int
+) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+    """List ``L``'s ``(c1, c2)`` windows, read from the grouped stream.
 
     ``stream`` is a read-only map of the ``(u, v)``-ordered interleaved
-    ``(c1, c2)`` file and ``starts[j]`` is where list-``L`` pair ``j``'s
-    wedges start in it.  Pairs go a budget-bounded window at a time:
-    one vectorized gather from the map per window, instead of a seek
-    and a read per pair.  The map is file-backed (clean page cache, no
-    anonymous memory).
+    ``(c1, c2)`` file that ``gather`` indexes; each window is one
+    vectorized gather from it.  The map is file-backed (clean page
+    cache, no anonymous memory).
     """
-    effective = budget if budget is not None else 16 * DEFAULT_WINDOW_BYTES
-    window = max(1024, effective // (2 * _STREAM_RECORD_BYTES))
-    k1 = len(starts)
-    p0 = 0
-    while p0 < k1:
-        limit = int(final_offsets[p0]) + window
-        j = int(np.searchsorted(final_offsets, limit, side="right")) - 1
-        p1 = min(k1, max(p0 + 1, j))
-        w0 = int(final_offsets[p0])
-        counts = np.diff(final_offsets[p0 : p1 + 1])
-        pos = np.repeat(starts[p0:p1] - (final_offsets[p0:p1] - w0), counts)
-        pos += np.arange(int(final_offsets[p1]) - w0, dtype=np.int64)
+    for _p0, _p1, pos in gather.windows(max_wedges):
         pos *= 2
-        c1_w.append(stream[pos])
+        c1 = stream[pos]
         pos += 1
-        c2_w.append(stream[pos])
-        p0 = p1
+        yield c1, stream[pos]
+
+
+def _write_pairs_file(
+    spec: PairFileSpec,
+    gather: ListGather,
+    sims: np.ndarray,
+    us: np.ndarray,
+    vs: np.ndarray,
+    merge_windows: Iterator[Tuple[np.ndarray, np.ndarray]],
+    cancel: Optional[CancelToken],
+) -> None:
+    """Write list ``L`` as ``spec``'s ``pairs.bin``.
+
+    The K1 sections go in one sequential pass, each of ``sims``/``us``/
+    ``vs`` put in list ``L`` order as it is written (one K1 copy
+    resident at a time), then ``gather``'s offsets.  ``merge_windows``
+    yields the ``(c1, c2)`` merge stream in consecutive windows,
+    appended through buffered section writers with a cancel checkpoint
+    per window.
+    """
+    with open(spec.path, "wb") as handle:
+        handle.truncate(spec.total_bytes)
+        for column in (sims, us, vs):
+            handle.write(column[gather.order])
+        handle.write(gather.offsets)
+        c1_w = _SectionWriter(handle, spec.c1_offset, np.int64)
+        c2_w = _SectionWriter(handle, spec.c2_offset, np.int64)
+        for c1, c2 in merge_windows:
+            if cancel is not None:
+                cancel.raise_if_cancelled()
+            c1_w.append(c1)
+            c2_w.append(c2)
+        c1_w.flush()
+        c2_w.flush()
 
 
 class MmapPairStore(PairStore):
@@ -655,7 +651,7 @@ class MmapPairStore(PairStore):
         self._tracer.gauge("store_bytes", spec.total_bytes)
 
     # ------------------------------------------------------------------
-    # build: spill + external merge
+    # builds
     # ------------------------------------------------------------------
     @classmethod
     def build(
@@ -669,206 +665,35 @@ class MmapPairStore(PairStore):
         tracer=None,
         cancel: Optional[CancelToken] = None,
     ) -> "MmapPairStore":
-        tracer = as_tracer(tracer)
-        if storage_dir is not None:
-            os.makedirs(storage_dir, exist_ok=True)
-        spill_dir = tempfile.mkdtemp(prefix="repro-pairs-", dir=storage_dir)
-        try:
-            spec = cls._build_file(
-                graph,
-                columns,
-                index_arr,
-                spill_dir,
-                memory_budget_bytes,
-                tracer,
+        """Write materialized columns' list ``L`` as the pair file.
+
+        The K1 sections go in one pass and the merge stream follows in
+        windows of at most ``memory_budget_bytes`` (one window when
+        ``None``), each one gather of the columns: nothing spills.
+        """
+        budget = memory_budget_bytes
+        max_wedges = None if budget is None else max(1, budget // _WEDGE_BYTES)
+
+        def write(spill_dir: str, _tracer) -> PairFileSpec:
+            gather = ListGather(
+                list_order(columns.u, columns.v, columns.sim), columns.common_offsets
+            )
+            spec = PairFileSpec(
+                path=os.path.join(spill_dir, "pairs.bin"), k1=columns.k1, k2=columns.k2
+            )
+            _write_pairs_file(
+                spec,
+                gather,
+                columns.sim,
+                columns.u,
+                columns.v,
+                _merge_stream_windows(graph, columns, index_arr, gather, max_wedges),
                 cancel,
             )
-        except BaseException:
-            shutil.rmtree(spill_dir, ignore_errors=True)
-            raise
-        window = memory_budget_bytes or DEFAULT_WINDOW_BYTES
-        window = max(_MIN_WINDOW_BYTES, min(window, DEFAULT_WINDOW_BYTES))
-        return cls(spec, spill_dir, window_bytes=window, tracer=tracer)
-
-    @classmethod
-    def _build_file(
-        cls,
-        graph: Graph,
-        columns: SimilarityColumns,
-        index_arr: np.ndarray,
-        spill_dir: str,
-        budget: Optional[int],
-        tracer,
-        cancel: Optional[CancelToken],
-    ) -> PairFileSpec:
-        k1, k2 = columns.k1, columns.k2
-        pair_bytes = k1 * _PAIR_BYTES + k2 * _WEDGE_BYTES
-        spec = PairFileSpec(path=os.path.join(spill_dir, "pairs.bin"), k1=k1, k2=k2)
-        if budget is None or pair_bytes <= budget or k1 <= 1:
-            # Everything fits: sort in memory (the oracle path) and write
-            # the file in one sequential pass.  No runs, no merge.
-            sorted_columns, c1, c2 = _sorted_merge_stream(graph, columns, index_arr)
-            with open(spec.path, "wb") as handle:
-                handle.write(np.ascontiguousarray(sorted_columns.sim).tobytes())
-                handle.write(np.ascontiguousarray(sorted_columns.u).tobytes())
-                handle.write(np.ascontiguousarray(sorted_columns.v).tobytes())
-                handle.write(
-                    np.ascontiguousarray(sorted_columns.common_offsets).tobytes()
-                )
-                handle.write(np.ascontiguousarray(c1, dtype=np.int64).tobytes())
-                handle.write(np.ascontiguousarray(c2, dtype=np.int64).tobytes())
             return spec
-        runs = cls._spill_runs(
-            graph, columns, index_arr, spill_dir, budget, tracer, cancel
-        )
-        try:
-            cls._merge_runs(runs, spec, tracer)
-        finally:
-            for run in runs:
-                if os.path.exists(run.path):
-                    run.release()
-        return spec
 
-    @staticmethod
-    def _spill_runs(
-        graph: Graph,
-        columns: SimilarityColumns,
-        index_arr: np.ndarray,
-        spill_dir: str,
-        budget: int,
-        tracer,
-        cancel: Optional[CancelToken],
-    ) -> List[_RunFile]:
-        k1 = columns.k1
-        counts = columns.pair_counts()
-        costs = _PAIR_BYTES + counts * _WEDGE_BYTES
-        # Phase I columns carry their edge ids; others resolve each
-        # run's slice from one shared key table.
-        key_table = None if columns.edge_uk is not None else _edge_key_table(graph)
-        runs: List[_RunFile] = []
-        start = 0
-        while start < k1:
-            if cancel is not None:
-                cancel.raise_if_cancelled()
-            stop = start + 1
-            spent = int(costs[start])
-            while stop < k1 and spent + int(costs[stop]) <= budget:
-                spent += int(costs[stop])
-                stop += 1
-            with tracer.span(
-                "storage:spill", run=len(runs), start=start, stop=stop
-            ):
-                path = os.path.join(spill_dir, f"run{len(runs)}.bin")
-                nbytes = MmapPairStore._write_run(
-                    path, columns, key_table, index_arr, start, stop
-                )
-            tracer.count("spill_runs")
-            tracer.count("bytes_spilled", nbytes)
-            runs.append(
-                _RunFile(
-                    path,
-                    stop - start,
-                    int(columns.common_offsets[stop] - columns.common_offsets[start]),
-                )
-            )
-            start = stop
-        return runs
+        return cls._build(write, storage_dir, budget, tracer)
 
-    @staticmethod
-    def _write_run(
-        path: str,
-        columns: SimilarityColumns,
-        key_table,
-        index_arr: np.ndarray,
-        start: int,
-        stop: int,
-    ) -> int:
-        """Sort pairs ``[start, stop)`` and write them as one run file.
-
-        The run's edge ids are a gather of the columns' carried ids, or,
-        for columns without them, resolved here from ``key_table`` (so
-        only one run's worth is ever resident).  Run files use the
-        ``pairs.bin`` layout over the run's own k1/k2, so the merge
-        reads them through the same :class:`PairFileSpec` machinery.
-        """
-        u = columns.u[start:stop]
-        v = columns.v[start:stop]
-        sim = columns.sim[start:stop]
-        counts = np.diff(columns.common_offsets[start : stop + 1])
-        order = list_order(u, v, sim)
-        counts_sorted = counts[order]
-        run_offsets = np.zeros(len(order) + 1, dtype=np.int64)
-        np.cumsum(counts_sorted, out=run_offsets[1:])
-        total = int(run_offsets[-1])
-        old_starts = columns.common_offsets[start:stop][order]
-        gather = np.repeat(old_starts - run_offsets[:-1], counts_sorted)
-        gather += np.arange(total, dtype=np.int64)
-        if key_table is None:
-            e1 = columns.edge_uk[gather]
-            e2 = columns.edge_vk[gather]
-        else:
-            e1, e2 = _resolve_edge_ids(
-                key_table, u[order], v[order], counts_sorted,
-                columns.common_neighbors[gather],
-            )
-        c1 = index_arr[e1]
-        c2 = index_arr[e2]
-        with open(path, "wb") as handle:
-            handle.write(np.ascontiguousarray(sim[order]).tobytes())
-            handle.write(np.ascontiguousarray(u[order]).tobytes())
-            handle.write(np.ascontiguousarray(v[order]).tobytes())
-            handle.write(run_offsets.tobytes())
-            handle.write(np.ascontiguousarray(c1, dtype=np.int64).tobytes())
-            handle.write(np.ascontiguousarray(c2, dtype=np.int64).tobytes())
-        return (stop - start) * _PAIR_BYTES + _F8 + total * _WEDGE_BYTES
-
-    @staticmethod
-    def _merge_runs(runs: List[_RunFile], spec: PairFileSpec, tracer) -> None:
-        """k-way merge of the sorted runs into the final ``pairs.bin``.
-
-        The heap key ``(-sim, u, v)`` is a strict total order over pairs
-        (``(u, v)`` is unique), so the output equals the in-memory sort's
-        oracle order exactly, duplicate similarities included.  Only the
-        run heads and bounded write buffers are resident.
-        """
-        with tracer.span("storage:merge", runs=len(runs), k1=spec.k1):
-            with open(spec.path, "wb") as handle:
-                handle.truncate(spec.total_bytes)
-            with open(spec.path, "r+b") as handle:
-                sim_w = _SectionWriter(handle, spec.sim_offset, np.float64)
-                u_w = _SectionWriter(handle, spec.u_offset, np.int64)
-                v_w = _SectionWriter(handle, spec.v_offset, np.int64)
-                off_w = _SectionWriter(handle, spec.offsets_offset, np.int64)
-                c1_w = _SectionWriter(handle, spec.c1_offset, np.int64)
-                c2_w = _SectionWriter(handle, spec.c2_offset, np.int64)
-                off_w.append_scalar(0)
-                heap = [
-                    (run.key(), idx) for idx, run in enumerate(runs) if run.k1
-                ]
-                heapq.heapify(heap)
-                wedge_cursor = 0
-                while heap:
-                    (_key, idx) = heapq.heappop(heap)
-                    run = runs[idx]
-                    pos = run.pos
-                    sim_w.append(run.sim[pos : pos + 1])
-                    u_w.append(run.u[pos : pos + 1])
-                    v_w.append(run.v[pos : pos + 1])
-                    w0 = int(run.offsets[pos])
-                    w1 = int(run.offsets[pos + 1])
-                    c1_w.append(run.c1[w0:w1])
-                    c2_w.append(run.c2[w0:w1])
-                    wedge_cursor += w1 - w0
-                    off_w.append_scalar(wedge_cursor)
-                    run.pos += 1
-                    if run.pos < run.k1:
-                        heapq.heappush(heap, (run.key(), idx))
-                for writer in (sim_w, u_w, v_w, off_w, c1_w, c2_w):
-                    writer.flush()
-
-    # ------------------------------------------------------------------
-    # build: streaming (graph -> file, no K2-sized residency)
-    # ------------------------------------------------------------------
     @classmethod
     def build_streaming(
         cls,
@@ -887,18 +712,43 @@ class MmapPairStore(PairStore):
         budget) throughout (see module docstring for the spill/merge
         shape).
         """
+
+        def write(spill_dir: str, tracer) -> PairFileSpec:
+            return cls._build_file_streaming(
+                graph, index_arr, spill_dir, memory_budget_bytes, tracer, cancel
+            )
+
+        return cls._build(write, storage_dir, memory_budget_bytes, tracer)
+
+    @classmethod
+    def _build(
+        cls,
+        write: Callable[[str, object], PairFileSpec],
+        storage_dir: Optional[str],
+        budget: Optional[int],
+        tracer,
+    ) -> "MmapPairStore":
+        """Run ``write(spill_dir, tracer)`` in a new spill dir; map its file.
+
+        On any failure the spill dir is removed; an :class:`OSError`
+        (a full disk, say) becomes a :class:`~repro.errors.StorageError`
+        that names it.
+        """
         tracer = as_tracer(tracer)
         if storage_dir is not None:
             os.makedirs(storage_dir, exist_ok=True)
         spill_dir = tempfile.mkdtemp(prefix="repro-pairs-", dir=storage_dir)
         try:
-            spec = cls._build_file_streaming(
-                graph, index_arr, spill_dir, memory_budget_bytes, tracer, cancel
-            )
+            spec = write(spill_dir, tracer)
+        except OSError as exc:
+            shutil.rmtree(spill_dir, ignore_errors=True)
+            raise StorageError(
+                exc.errno, f"pair store build failed: {exc.strerror or exc}", spill_dir
+            ) from exc
         except BaseException:
             shutil.rmtree(spill_dir, ignore_errors=True)
             raise
-        window = memory_budget_bytes or DEFAULT_WINDOW_BYTES
+        window = budget or DEFAULT_WINDOW_BYTES
         window = max(_MIN_WINDOW_BYTES, min(window, DEFAULT_WINDOW_BYTES))
         return cls(spec, spill_dir, window_bytes=window, tracer=tracer)
 
@@ -975,8 +825,7 @@ class MmapPairStore(PairStore):
             temp_path = os.path.join(spill_dir, "wedges.tmp")
             # Split the budget across the run readers: merge-time
             # residency is runs x buffer, not runs x default.
-            effective = budget if budget is not None else 16 * DEFAULT_WINDOW_BYTES
-            per_run = effective // (max(1, len(runs)) * 2 * _STREAM_RECORD_BYTES)
+            per_run = _stream_records(budget) // max(1, len(runs))
             for run in runs:
                 run.set_buffer_records(max(256, per_run))
             with tracer.span("storage:merge", runs=len(runs), k1=k1):
@@ -995,25 +844,17 @@ class MmapPairStore(PairStore):
             indptr, indices, weights, pair_u, pair_v
         )
         sims = _tanimoto(h2, pair_u, pair_v, dots)
-        order = list_order(pair_u, pair_v, sims)
-        final_counts = counts[order]
-        final_offsets = np.zeros(k1 + 1, dtype=np.int64)
-        np.cumsum(final_counts, out=final_offsets[1:])
-        with open(spec.path, "wb") as handle:
-            handle.truncate(spec.total_bytes)
-            handle.write(np.ascontiguousarray(sims[order]).tobytes())
-            handle.write(np.ascontiguousarray(pair_u[order]).tobytes())
-            handle.write(np.ascontiguousarray(pair_v[order]).tobytes())
-            handle.write(final_offsets.tobytes())
-            c1_w = _SectionWriter(handle, spec.c1_offset, np.int64)
-            c2_w = _SectionWriter(handle, spec.c2_offset, np.int64)
-            if k2:
-                _copy_in_list_order(
-                    _map_i64(temp_path, 0, 2 * k2), offsets_uv[:-1][order],
-                    final_offsets, budget, c1_w, c2_w,
-                )
-            c1_w.flush()
-            c2_w.flush()
+        gather = ListGather(list_order(pair_u, pair_v, sims), offsets_uv)
+        window = max(1024, _stream_records(budget))
+        _write_pairs_file(
+            spec,
+            gather,
+            sims,
+            pair_u,
+            pair_v,
+            _interleaved_windows(_map_i64(temp_path, 0, 2 * k2), gather, window),
+            cancel,
+        )
         os.unlink(temp_path)
         return spec
 

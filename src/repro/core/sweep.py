@@ -123,7 +123,11 @@ def sweep(
         Phase-I output — dict :class:`SimilarityMap` or columnar
         :class:`SimilarityColumns`; computed on the fly (dict) when
         omitted.  Both forms yield identical results; the columnar path
-        sorts and expands the K2 stream with vectorized kernels.
+        sorts and expands the K2 stream with vectorized kernels.  Edge
+        ids that the columns carry are trusted here, not checked
+        against ``graph``; :meth:`LinkClustering.run
+        <repro.core.linkclust.LinkClustering.run>` is the entry that
+        vets columns from outside the run.
     edge_order:
         Optional permutation assigning array-``C`` indices to edges.
     record_changes:
@@ -196,16 +200,18 @@ def _columnar_sweep(
     """Algorithm 2 over columnar input: same merges, vectorized setup.
 
     The sort is one argsort (:func:`~repro.core.simcolumns.list_order`),
-    the K2 wedge stream is the edge ids Phase I carried, gathered with
-    the sort and mapped into array ``C`` in the same ``phase:sort`` span
+    the K2 wedge stream is the edge ids Phase I carried, put in list
+    ``L`` order by one :class:`~repro.core.simcolumns.ListGather` and
+    mapped into array ``C`` in the same ``phase:sort`` span
     (no per-wedge ``graph.edge_id`` dict lookups), and MERGE runs
     one :meth:`ChainArray.merge_run` kernel call per ``CHECK_INTERVAL``
     window of wedges, with the cancel checkpoint between windows.  Only
     genuine merges look up their pair's similarity.
     """
     index = build_edge_index(graph, edge_order)
-    with tracer.span("phase:sort", k1=columns.k1):
-        columns, c1, c2 = _sorted_merge_stream(
+    k1, k2 = columns.k1, columns.k2
+    with tracer.span("phase:sort", k1=k1):
+        sims, _, _, offsets, c1, c2 = _sorted_merge_stream(
             graph, columns, np.asarray(index, dtype=np.int64)
         )
     chain = ChainArray(graph.num_edges)
@@ -214,15 +220,13 @@ def _columnar_sweep(
 
     merges: List[Tuple[int, int, int, int]] = []
     with tracer.span("phase:sweep"):
-        for start in range(0, columns.k2, CHECK_INTERVAL):
+        for start in range(0, k2, CHECK_INTERVAL):
             if cancel is not None:
                 cancel.raise_if_cancelled()
-            stop = min(columns.k2, start + CHECK_INTERVAL)
+            stop = min(k2, start + CHECK_INTERVAL)
             merges += chain.merge_run(c1, c2, start, stop, per_merge)
-        pairs = merge_pair_positions(merges, columns.common_offsets)
-        for r, (m, similarity) in enumerate(
-            zip(merges, columns.sim[pairs].tolist()), 1
-        ):
+        pairs = merge_pair_positions(merges, offsets)
+        for r, (m, similarity) in enumerate(zip(merges, sims[pairs].tolist()), 1):
             builder.record(r, m[1], m[2], m[3], similarity)
     r = len(merges)
     tracer.count("merges", r)
@@ -232,7 +236,7 @@ def _columnar_sweep(
         chain=chain,
         edge_index=index,
         num_levels=r,
-        k1=columns.k1,
-        k2=columns.k2,
+        k1=k1,
+        k2=k2,
         per_merge_changes=per_merge,
     )

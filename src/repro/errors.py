@@ -20,6 +20,7 @@ __all__ = [
     "ParallelError",
     "AnalysisError",
     "RunCancelledError",
+    "StorageError",
     "ServeError",
     "QueueFullError",
     "RequestTooLargeError",
@@ -109,6 +110,17 @@ class RunCancelledError(ReproError):
     def __init__(self, reason: "str | None" = None):
         super().__init__(reason or "run cancelled")
         self.reason = reason
+
+
+class StorageError(ReproError, OSError):
+    """Writing the out-of-core pair store failed (a full disk, say).
+
+    Raised from :class:`~repro.core.storage.MmapPairStore`'s builds,
+    chained from the original :class:`OSError` and carrying its
+    ``errno``; ``filename`` names the spill directory, which is removed
+    before this propagates.  It is an :class:`OSError` too, so callers
+    that catch that keep working.
+    """
 
 
 class ServeError(ReproError):

@@ -158,6 +158,10 @@ def parallel_coarse_sweep(
     pipeline: a dict ``similarity_map`` is converted up front (same
     list-L order, so the same chunks and levels), and a missing one is
     computed by :func:`repro.fast.similarity.fast_similarity_columns`.
+    Edge ids carried by caller columns are trusted here, not checked
+    against ``graph``; :meth:`LinkClustering.run
+    <repro.core.linkclust.LinkClustering.run>` is the entry that vets
+    them.
 
     ``cancel`` is an optional :class:`~repro.core.cancel.CancelToken`
     checked at chunk boundaries (between runtime dispatches, never

@@ -164,6 +164,7 @@ class JobManager:
         self._lock = threading.Lock()
         self._threads: List[threading.Thread] = []
         self._next_id = 0
+        self._too_large = 0
         self._started = False
         self._closed = False
 
@@ -302,6 +303,11 @@ class JobManager:
         self._transition(job, JOB_CANCELLED, only_from=JOB_QUEUED)
         return job
 
+    def note_too_large(self) -> None:
+        """Count one request refused with a 413 (``rejected_too_large``)."""
+        with self._lock:
+            self._too_large += 1
+
     def stats(self) -> Dict[str, Any]:
         """Daemon-level counters for ``GET /stats``."""
         with self._lock:
@@ -309,8 +315,10 @@ class JobManager:
             for job_id in self._order:
                 states[self._jobs[job_id].state] += 1
             submitted = self._next_id
+            too_large = self._too_large
         return {
             "submitted": submitted,
+            "rejected_too_large": too_large,
             "jobs": states,
             "queue_depth": self._queue.qsize(),
             "cache": self.cache.stats(),

@@ -20,7 +20,8 @@ POST   ``/jobs/<id>/cancel``         trip the job's cancel token
 Error mapping: bad submissions (:class:`~repro.errors.ParameterError`)
 → 400, unknown jobs → 404, not-done results → 409, a body declared
 larger than :data:`MAX_BODY_BYTES`
-(:class:`~repro.errors.RequestTooLargeError`) → 413, a full queue
+(:class:`~repro.errors.RequestTooLargeError`) → 413 (counted as
+``rejected_too_large`` in ``/stats``), a full queue
 (:class:`~repro.errors.QueueFullError`) → 429, other
 :class:`~repro.errors.ServeError` → 400.
 
@@ -181,6 +182,7 @@ class _Handler(BaseHTTPRequestHandler):
             else:
                 self._send_error_json(404, f"no such endpoint: POST {url.path}")
         except RequestTooLargeError as exc:
+            self.server.manager.note_too_large()
             self._send_error_json(413, str(exc))
         except QueueFullError as exc:
             self._send_error_json(429, str(exc))

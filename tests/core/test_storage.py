@@ -2,14 +2,21 @@
 
 from __future__ import annotations
 
+import errno
 import os
 import pickle
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core import storage
 from repro.core.cancel import CancelToken
 from repro.core.coarse import CoarseParams, coarse_sweep
+from repro.core.config import RunConfig
+from repro.core.linkclust import LinkClustering
 from repro.core.storage import (
     InMemoryPairStore,
     MmapPairStore,
@@ -18,7 +25,7 @@ from repro.core.storage import (
     make_pair_store,
 )
 from repro.core.sweep import build_edge_index
-from repro.errors import ParameterError, RunCancelledError
+from repro.errors import ParameterError, RunCancelledError, StorageError
 from repro.fast.similarity import fast_similarity_columns
 from repro.graph import generators
 from repro.graph.graph import Graph
@@ -106,8 +113,9 @@ class TestNoSpillIdentity:
 
 class TestSpillIdentity:
     def test_single_pair_runs_merge_to_oracle_order(self, tmp_path):
-        # budget=1 < the cost of any pair, so every run holds exactly
-        # one pair — the merge does all the ordering work.
+        # budget=1 < the cost of any pair, so every gather window holds
+        # exactly one pair; the columns-fed build writes list L straight
+        # to the file and spills nothing.
         graph = generators.caveman_graph(4, 5)
         columns, index_arr = _inputs(graph)
         oracle = InMemoryPairStore.build(graph, columns, index_arr)
@@ -122,8 +130,8 @@ class TestSpillIdentity:
         )
         try:
             _stores_equal(store, oracle)
-            assert tracer.counters.get("spill_runs") == columns.k1
-            assert tracer.counters.get("bytes_spilled", 0) > 0
+            assert tracer.counters.get("spill_runs", 0) == 0
+            assert tracer.counters.get("bytes_spilled", 0) == 0
         finally:
             store.close()
 
@@ -485,4 +493,142 @@ class TestStreamingInit:
                 memory_budget_bytes=64,
                 cancel=token,
             )
+        assert os.listdir(str(tmp_path)) == []
+
+
+def _file_bytes(store):
+    with open(store.file_spec().path, "rb") as handle:
+        return handle.read()
+
+
+@st.composite
+def _small_graphs(draw):
+    """No pairs, one pair, caveman cliques (similarity ties) or a random
+    weighted graph."""
+    shape = draw(st.sampled_from(["no_pairs", "one_pair", "caveman", "random"]))
+    if shape == "no_pairs":
+        return Graph.from_edge_list([(0, 1), (2, 3)])
+    if shape == "one_pair":
+        return Graph.from_edge_list([(0, 1, draw(st.sampled_from([1.0, 2.5]))), (1, 2)])
+    if shape == "caveman":
+        return generators.caveman_graph(draw(st.integers(2, 4)), draw(st.integers(3, 5)))
+    n = draw(st.integers(3, 9))
+    pairs = draw(
+        st.lists(
+            st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+            .filter(lambda p: p[0] < p[1]),
+            min_size=1,
+            max_size=20,
+            unique=True,
+        )
+    )
+    weight = st.sampled_from([0.5, 1.0, 1.0, 3.0]) | st.floats(0.1, 10.0)
+    return Graph.from_edge_list([(a, b, draw(weight)) for a, b in pairs])
+
+
+class TestOneListGather:
+    """Every pair store writes list L through the same windowed gather."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        graph=_small_graphs(),
+        budget=st.sampled_from([None, 1, "small", "above"]),
+    )
+    def test_builds_agree_byte_for_byte(self, graph, budget):
+        columns, index_arr = _inputs(graph)
+        pair_bytes = columns.k1 * 32 + columns.k2 * 16
+        budget = {"small": max(1, pair_bytes // 4), "above": pair_bytes + 1}.get(
+            budget, budget
+        )
+        oracle = InMemoryPairStore.build(graph, columns, index_arr)
+        with tempfile.TemporaryDirectory() as root:
+            stream = MmapPairStore.build_streaming(
+                graph, index_arr, storage_dir=root, memory_budget_bytes=budget
+            )
+            try:
+                for cols in (columns, columns.without_edge_ids()):
+                    store = MmapPairStore.build(
+                        graph, cols, index_arr, storage_dir=root,
+                        memory_budget_bytes=budget,
+                    )
+                    try:
+                        assert _file_bytes(store) == _file_bytes(stream)
+                        _stores_equal(store, oracle)
+                        _stores_equal(
+                            InMemoryPairStore.build(graph, cols, index_arr), oracle
+                        )
+                    finally:
+                        store.close()
+            finally:
+                stream.close()
+
+
+class TestWriteFaults:
+    """A full disk mid-build ends in StorageError with the spill dir gone."""
+
+    def _build(self, streaming, tmp_path):
+        graph = generators.caveman_graph(4, 5)
+        columns, index_arr = _inputs(graph)
+        if streaming:
+            return MmapPairStore.build_streaming(
+                graph, index_arr, storage_dir=str(tmp_path), memory_budget_bytes=64
+            )
+        return MmapPairStore.build(
+            graph, columns, index_arr, storage_dir=str(tmp_path),
+            memory_budget_bytes=64,
+        )
+
+    def _check(self, info, tmp_path):
+        err = info.value
+        assert isinstance(err, OSError) and err.errno == errno.ENOSPC
+        assert isinstance(err.__cause__, OSError)
+        assert err.__cause__.errno == errno.ENOSPC
+        assert err.filename.startswith(str(tmp_path))
+        assert os.path.basename(err.filename) in str(err)
+        assert os.listdir(str(tmp_path)) == []
+
+    @pytest.mark.parametrize("streaming", [False, True], ids=["columns", "streaming"])
+    def test_enospc_writing_pairs_file(self, monkeypatch, tmp_path, streaming):
+        flush = storage._SectionWriter.flush
+        calls = []
+
+        def full_disk(writer):
+            calls.append(writer)
+            if len(calls) > 1:  # c1 lands, then the disk fills
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            flush(writer)
+
+        monkeypatch.setattr(storage._SectionWriter, "flush", full_disk)
+        with pytest.raises(StorageError) as info:
+            self._build(streaming, tmp_path)
+        self._check(info, tmp_path)
+
+    def test_enospc_spilling_wedge_runs(self, monkeypatch, tmp_path):
+        spill = storage._spill_wedge_run
+        calls = []
+
+        def full_disk(*args):
+            if calls:  # the first run is on disk and open
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            calls.append(args)
+            return spill(*args)
+
+        monkeypatch.setattr(storage, "_spill_wedge_run", full_disk)
+        with pytest.raises(StorageError) as info:
+            self._build(True, tmp_path)
+        self._check(info, tmp_path)
+
+    def test_run_surfaces_storage_error(self, monkeypatch, tmp_path):
+        def full_disk(writer):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(storage._SectionWriter, "flush", full_disk)
+        config = RunConfig(
+            coarse=CoarseParams(), pairs_format="mmap",
+            storage_dir=str(tmp_path), memory_budget_bytes=256,
+        )
+        with pytest.raises(OSError) as info:
+            LinkClustering(generators.caveman_graph(4, 5), config=config).run()
+        assert isinstance(info.value, StorageError)
+        assert info.value.errno == errno.ENOSPC
         assert os.listdir(str(tmp_path)) == []

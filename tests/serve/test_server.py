@@ -211,6 +211,7 @@ class TestHostileBodies:
     def test_oversized_body_is_413_and_daemon_keeps_serving(self):
         with serving(JobManager(job_workers=1), port=0) as server:
             port = server.server_address[1]
+            before = ServeClient(port=port).stats()["rejected_too_large"]
             conn = http.client.HTTPConnection("127.0.0.1", port, timeout=10)
             try:
                 conn.putrequest("POST", "/jobs")
@@ -226,6 +227,7 @@ class TestHostileBodies:
             finally:
                 conn.close()
             assert ServeClient(port=port).health()["ok"]
+            assert ServeClient(port=port).stats()["rejected_too_large"] == before + 1
             assert ServeClient(port=port).run(edges=EDGES)["dendrogram"]
 
     def test_client_maps_413_to_named_error(self, monkeypatch):
