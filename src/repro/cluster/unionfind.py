@@ -1,6 +1,6 @@
 """Cluster-membership structures used by the sweeping phase.
 
-Two structures live here:
+Three structures live here:
 
 * :class:`ChainArray` — the paper's array ``C`` with chain function ``F``
   (Eq. 4) and the ``MERGE`` procedure of Algorithm 2.  It is deliberately
@@ -9,6 +9,12 @@ Two structures live here:
   hop afterwards, and cluster ids are stable (always the minimum member).
   Theorem 1 of the paper states ``min F(i)`` is the correct cluster id; the
   amortized cost analysis (Theorem 2) depends on this full rewriting.
+
+* :class:`LabelForest` — the same genuine merges found as a spanning
+  forest: a window of wedges is filtered by the labels its endpoints had
+  at the window's start, and only the survivors go through a small
+  min-root union-find.  It keeps no array ``C``, so it has none of
+  :class:`ChainArray`'s counters.
 
 * :class:`DisjointSet` — a textbook union-find with union by size and path
   compression, used by tests to cross-check :class:`ChainArray` and by the
@@ -21,13 +27,40 @@ the paper.
 
 from __future__ import annotations
 
-from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import ClusteringError
 
-__all__ = ["ChainArray", "DisjointSet", "MergeOutcome"]
+__all__ = ["ChainArray", "DisjointSet", "LabelForest", "MergeOutcome"]
+
+
+def _window_segments(
+    c1: Sequence[int], c2: Sequence[int], start: int, stop: int, n: int, owner: str
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Wedges ``start..stop-1`` as int64 arrays, bounds-checked.
+
+    Raises :class:`ClusteringError` for a window outside the columns or
+    an index outside ``0..n-1`` before the caller touches its state
+    (NumPy indexing would wrap a negative index silently).
+    """
+    if not 0 <= start <= stop <= min(len(c1), len(c2)):
+        raise ClusteringError(
+            f"wedge window [{start}, {stop}) out of range for "
+            f"{min(len(c1), len(c2))} wedges"
+        )
+    seg1 = np.asarray(c1[start:stop], dtype=np.int64)
+    seg2 = np.asarray(c2[start:stop], dtype=np.int64)
+    if seg1.size and (
+        min(int(seg1.min()), int(seg2.min())) < 0
+        or max(int(seg1.max()), int(seg2.max())) >= n
+    ):
+        raise ClusteringError(
+            f"wedge window [{start}, {stop}) indexes items outside "
+            f"{owner} of size {n}"
+        )
+    return seg1, seg2
 
 
 class MergeOutcome(NamedTuple):
@@ -169,23 +202,8 @@ class ChainArray:
         wedge costs a few list reads instead of a method call, two
         ``chain()`` lists and a result tuple.
         """
-        if not 0 <= start <= stop <= min(len(c1), len(c2)):
-            raise ClusteringError(
-                f"wedge window [{start}, {stop}) out of range for "
-                f"{min(len(c1), len(c2))} wedges"
-            )
         c = self._c
-        n = len(c)
-        seg1 = np.asarray(c1[start:stop], dtype=np.int64)
-        seg2 = np.asarray(c2[start:stop], dtype=np.int64)
-        if seg1.size and (
-            min(int(seg1.min()), int(seg2.min())) < 0
-            or max(int(seg1.max()), int(seg2.max())) >= n
-        ):
-            raise ClusteringError(
-                f"wedge window [{start}, {stop}) indexes items outside "
-                f"ChainArray of size {n}"
-            )
+        seg1, seg2 = _window_segments(c1, c2, start, stop, len(c), "ChainArray")
         merges: List[Tuple[int, int, int, int]] = []
         accesses = 0
         total = 0
@@ -354,6 +372,114 @@ class ChainArray:
             raise ClusteringError(
                 f"item {i} out of range for ChainArray of size {len(self._c)}"
             )
+
+
+class LabelForest:
+    """Algorithm 2's genuine merges, found as a spanning forest.
+
+    Holds one flat label per item, the minimum item of its cluster.
+    :meth:`merge_run` has :meth:`ChainArray.merge_run`'s record contract
+    (every genuine merge ``(w, c1, c2, parent)``, in wedge order, with
+    the clusters' minimum items) at a fraction of its cost: a wedge
+    whose endpoints carried one label at the window's start cannot
+    merge anything, so only the other wedges reach a union-find, and
+    that union-find is over the few labels they name.
+
+    There is no array ``C``, so there are no change or access counters
+    (Figure 2(1) and Theorem 2 measure :class:`ChainArray`).
+    :meth:`to_chain` hands the labels over as a flat ``ChainArray``.
+
+    Examples
+    --------
+    >>> forest = LabelForest(4)
+    >>> forest.merge_run([2, 1, 0], [3, 3, 1], 0, 3)
+    [(0, 2, 3, 2), (1, 1, 2, 1), (2, 0, 1, 0)]
+    >>> forest.labels()
+    [0, 0, 0, 0]
+    """
+
+    __slots__ = ("_labels", "_clusters", "_survivors")
+
+    def __init__(self, n: int):
+        if n < 0:
+            raise ClusteringError(f"need n >= 0 items, got {n}")
+        self._labels = np.arange(n, dtype=np.int64)
+        self._clusters = n
+        self._survivors = 0
+
+    def merge_run(
+        self, c1: Sequence[int], c2: Sequence[int], start: int, stop: int
+    ) -> List[Tuple[int, int, int, int]]:
+        """Merge wedges ``start..stop-1``; return the genuine merges.
+
+        The records and the labels left behind are exactly those of
+        :meth:`ChainArray.merge_run` over the same wedges.  The window
+        is bounds-checked up front: an out-of-range index raises
+        :class:`ClusteringError` before any label changes.
+        """
+        labels = self._labels
+        seg1, seg2 = _window_segments(c1, c2, start, stop, len(labels), "LabelForest")
+        l1 = labels[seg1]
+        l2 = labels[seg2]
+        keep = np.flatnonzero(l1 != l2)
+        self._survivors += len(keep)
+        if not len(keep):
+            return []
+        # Min-root union-find over window-start labels: ``up`` maps each
+        # root merged away in this window toward the root it joined.
+        up: Dict[int, int] = {}
+        merges: List[Tuple[int, int, int, int]] = []
+        for w, a, b in zip(
+            (keep + start).tolist(), l1[keep].tolist(), l2[keep].tolist()
+        ):
+            r1 = a
+            while r1 in up:
+                r1 = up[r1]
+            while a != r1:  # path compression
+                up[a], a = r1, up[a]
+            r2 = b
+            while r2 in up:
+                r2 = up[r2]
+            while b != r2:
+                up[b], b = r2, up[b]
+            if r1 != r2:
+                if r1 < r2:
+                    up[r2] = cmin = r1
+                else:
+                    up[r1] = cmin = r2
+                merges.append((w, r1, r2, cmin))
+        if merges:
+            merged = list(up)
+            roots = []
+            for r in merged:
+                while r in up:
+                    r = up[r]
+                roots.append(r)
+            # Each merged-away root now names its final root, and every
+            # other label still names itself, so one gather relabels all.
+            labels[merged] = roots
+            self._labels = labels[labels]
+            self._clusters -= len(merges)
+        return merges
+
+    @property
+    def survivors(self) -> int:
+        """Wedges that passed the label filter and reached the union-find."""
+        return self._survivors
+
+    def num_clusters(self) -> int:
+        return self._clusters
+
+    def labels(self) -> List[int]:
+        """Cluster label (minimum member) of every item, index-aligned."""
+        return self._labels.tolist()
+
+    def to_chain(self) -> ChainArray:
+        """The labels as a flat :class:`ChainArray` (zero counters)."""
+        return ChainArray._adopt(self.labels(), self._clusters)
+
+    def __repr__(self) -> str:
+        return f"LabelForest(n={len(self._labels)}, clusters={self._clusters})"
 
 
 class DisjointSet:

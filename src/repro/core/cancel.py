@@ -8,7 +8,9 @@ it from any thread, and the run raises
 chunk/level boundaries in the coarse sweep, every vertex pair (dict
 path) or between kernel windows of :data:`CHECK_INTERVAL` wedges
 (columnar path, one :meth:`~repro.cluster.unionfind.ChainArray.merge_run`
-call per window) in the fine-grained sweep.  Checkpoints sit outside
+or, in a fine ``LinkClustering`` run,
+:meth:`~repro.cluster.unionfind.LabelForest.merge_run` call per window)
+in the fine-grained sweep.  Checkpoints sit outside
 the inner MERGE loops, so an un-cancelled run pays one attribute test
 per boundary and nothing per merge.
 

@@ -40,7 +40,7 @@ from repro.core.coarse import CoarseParams, CoarseResult, coarse_sweep
 from repro.core.config import BACKENDS, RunConfig
 from repro.core.simcolumns import SimilarityColumns, _checked_edge_ids
 from repro.core.storage import StorageSettings
-from repro.core.sweep import SweepResult, sweep
+from repro.core.sweep import SweepResult, _forest_sweep
 from repro.errors import ParameterError
 from repro.graph.graph import Graph
 from repro.obs import Tracer, as_tracer, record_peak_rss
@@ -135,6 +135,13 @@ class LinkClusteringResult:
 
     The dendrogram's leaves are *edge indices* (positions in the paper's
     array ``C``); all public accessors translate back to edge ids.
+
+    ``chain`` holds the final clustering.  A fine run merges on a
+    :class:`~repro.cluster.unionfind.LabelForest`, not on array ``C``,
+    so its ``chain`` is a flat label array (every item points at its
+    cluster's minimum) whose change and access counters are zero; the
+    paper's array ``C`` with its counters is what public
+    :func:`~repro.core.sweep.sweep` returns.
     """
 
     graph: Graph
@@ -495,7 +502,7 @@ class LinkClustering:
 
         if self.coarse_params is None:
             assert sim is not None  # mmap (the only streaming case) is coarse-only
-            fine: SweepResult = sweep(
+            fine: SweepResult = _forest_sweep(
                 self.graph, sim, edge_order=edge_order, tracer=tracer,
                 cancel=self.cancel,
             )

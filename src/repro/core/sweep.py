@@ -15,12 +15,12 @@ it, default is identity.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.cluster.dendrogram import Dendrogram, DendrogramBuilder
-from repro.cluster.unionfind import ChainArray
+from repro.cluster.unionfind import ChainArray, LabelForest
 from repro.core.cancel import CHECK_INTERVAL, CancelToken
 from repro.core.simcolumns import SimilarityColumns, _sorted_merge_stream
 from repro.core.similarity import SimilarityMap, compute_similarity_map
@@ -55,8 +55,9 @@ def merge_pair_positions(
 ) -> np.ndarray:
     """Position in list ``L`` of each merge's vertex pair.
 
-    ``merges`` are :meth:`ChainArray.merge_run` records, whose wedge
-    index plus ``base`` falls in its pair's ``offsets`` row.
+    ``merges`` are :meth:`ChainArray.merge_run` (or
+    :meth:`LabelForest.merge_run`) records, whose wedge index plus
+    ``base`` falls in its pair's ``offsets`` row.
     """
     wedges = np.fromiter((m[0] for m in merges), np.int64, len(merges))
     return np.searchsorted(offsets, wedges + base, side="right") - 1
@@ -199,14 +200,80 @@ def _columnar_sweep(
 ) -> SweepResult:
     """Algorithm 2 over columnar input: same merges, vectorized setup.
 
+    MERGE runs one :meth:`ChainArray.merge_run` kernel call per window
+    (see :func:`_window_sweep`), so array ``C`` and its counters are the
+    paper's.
+    """
+    chain = ChainArray(graph.num_edges)
+    per_merge: Optional[List[int]] = [] if record_changes else None
+    dendrogram, index, r = _window_sweep(
+        graph, columns, edge_order, tracer, cancel,
+        lambda c1, c2, start, stop: chain.merge_run(c1, c2, start, stop, per_merge),
+    )
+    return SweepResult(
+        dendrogram=dendrogram,
+        chain=chain,
+        edge_index=index,
+        num_levels=r,
+        k1=columns.k1,
+        k2=columns.k2,
+        per_merge_changes=per_merge,
+    )
+
+
+def _forest_sweep(
+    graph: Graph,
+    columns: SimilarityColumns,
+    edge_order: Optional[Sequence[int]] = None,
+    tracer=None,
+    cancel: Optional[CancelToken] = None,
+) -> SweepResult:
+    """Algorithm 2's dendrogram from the label forest, not array ``C``.
+
+    The genuine merges of the fine sweep are a spanning forest in list
+    ``L`` wedge order, so :class:`LabelForest` finds them, window by
+    window, with the same records :func:`_columnar_sweep` gets from
+    :meth:`ChainArray.merge_run`.  The result's ``chain`` is the final
+    flat label array, with zero change and access counters.  Counts the
+    wedges that reached the forest's union-find as ``forest_survivors``.
+    """
+    tracer = as_tracer(tracer)
+    forest = LabelForest(graph.num_edges)
+    dendrogram, index, r = _window_sweep(
+        graph, columns, edge_order, tracer, cancel, forest.merge_run
+    )
+    tracer.count("forest_survivors", forest.survivors)
+    return SweepResult(
+        dendrogram=dendrogram,
+        chain=forest.to_chain(),
+        edge_index=index,
+        num_levels=r,
+        k1=columns.k1,
+        k2=columns.k2,
+    )
+
+
+def _window_sweep(
+    graph: Graph,
+    columns: SimilarityColumns,
+    edge_order: Optional[Sequence[int]],
+    tracer,
+    cancel: Optional[CancelToken],
+    merge_run: Callable[
+        [np.ndarray, np.ndarray, int, int], List[Tuple[int, int, int, int]]
+    ],
+) -> Tuple[Dendrogram, List[int], int]:
+    """The columnar fine sweep around a MERGE kernel.
+
     The sort is one argsort (:func:`~repro.core.simcolumns.list_order`),
     the K2 wedge stream is the edge ids Phase I carried, put in list
     ``L`` order by one :class:`~repro.core.simcolumns.ListGather` and
     mapped into array ``C`` in the same ``phase:sort`` span
-    (no per-wedge ``graph.edge_id`` dict lookups), and MERGE runs
-    one :meth:`ChainArray.merge_run` kernel call per ``CHECK_INTERVAL``
-    window of wedges, with the cancel checkpoint between windows.  Only
-    genuine merges look up their pair's similarity.
+    (no per-wedge ``graph.edge_id`` dict lookups), and ``merge_run``
+    takes one ``CHECK_INTERVAL`` window of wedges per call, with the
+    cancel checkpoint between windows.  Only genuine merges look up
+    their pair's similarity.  Returns the dendrogram, the map ``I`` and
+    the number of levels.
     """
     index = build_edge_index(graph, edge_order)
     k1, k2 = columns.k1, columns.k2
@@ -214,9 +281,7 @@ def _columnar_sweep(
         sims, _, _, offsets, c1, c2 = _sorted_merge_stream(
             graph, columns, np.asarray(index, dtype=np.int64)
         )
-    chain = ChainArray(graph.num_edges)
     builder = DendrogramBuilder(graph.num_edges)
-    per_merge: Optional[List[int]] = [] if record_changes else None
 
     merges: List[Tuple[int, int, int, int]] = []
     with tracer.span("phase:sweep"):
@@ -224,19 +289,10 @@ def _columnar_sweep(
             if cancel is not None:
                 cancel.raise_if_cancelled()
             stop = min(k2, start + CHECK_INTERVAL)
-            merges += chain.merge_run(c1, c2, start, stop, per_merge)
+            merges += merge_run(c1, c2, start, stop)
         pairs = merge_pair_positions(merges, offsets)
         for r, (m, similarity) in enumerate(zip(merges, sims[pairs].tolist()), 1):
             builder.record(r, m[1], m[2], m[3], similarity)
     r = len(merges)
     tracer.count("merges", r)
-
-    return SweepResult(
-        dendrogram=builder.build(),
-        chain=chain,
-        edge_index=index,
-        num_levels=r,
-        k1=k1,
-        k2=k2,
-        per_merge_changes=per_merge,
-    )
+    return builder.build(), index, r

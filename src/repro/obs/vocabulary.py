@@ -84,6 +84,9 @@ COUNTERS: FrozenSet[str] = frozenset(
         "k1",
         "k2",
         "merges",
+        # Fine runs: wedges whose endpoints' labels differed at their
+        # window's start, the only ones the label forest union-finds.
+        "forest_survivors",
         "rollbacks",
         "jump_hits",
         "batch_rounds",

@@ -1,9 +1,10 @@
-"""ChainArray.merge_run: the columnar sweeps' MERGE kernel.
+"""ChainArray.merge_run and LabelForest.merge_run: the MERGE kernels.
 
-The kernel must be indistinguishable from calling the reference
-``ChainArray.merge`` once per wedge: same array ``C``, change and access
-counters (Theorem 2), cluster count, merge records and per-wedge change
-counts (Figure 2(1)).
+``ChainArray.merge_run`` must be indistinguishable from calling the
+reference ``ChainArray.merge`` once per wedge: same array ``C``, change
+and access counters (Theorem 2), cluster count, merge records and
+per-wedge change counts (Figure 2(1)).  ``LabelForest.merge_run`` must
+return the same merge records and leave the same labels.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cluster.unionfind import ChainArray
+from repro.cluster.unionfind import ChainArray, LabelForest
 from repro.errors import ClusteringError
 
 
@@ -120,3 +121,76 @@ def test_empty_window_is_a_no_op():
     changes: list = []
     assert chain.merge_run([0], [1], 1, 1, changes=changes) == []
     assert changes == [] and chain.changes == 0 and chain.accesses == 0
+
+
+# ----------------------------------------------------------------------
+# LabelForest.merge_run: the fine run's spanning-forest MERGE
+# ----------------------------------------------------------------------
+
+
+@st.composite
+def wedge_streams(draw):
+    """Wedge columns over ``n`` items with self-wedges and repeats."""
+    n = draw(st.integers(1, 60))
+    item = st.integers(0, n - 1)
+    fresh = st.tuples(item, item)
+    wedges = draw(st.lists(fresh, max_size=300))
+    # Repeat earlier wedges (either orientation) and add self-wedges.
+    extra = draw(st.lists(st.tuples(st.integers(0, 10**6), st.booleans()), max_size=100))
+    for pick, flip in extra:
+        if wedges:
+            a, b = wedges[pick % len(wedges)]
+            wedges.insert(pick % (len(wedges) + 1), (b, a) if flip else (a, a))
+    window = draw(st.sampled_from([1, 7, 4096]))
+    return n, wedges, window
+
+
+@given(wedge_streams())
+@settings(max_examples=300, deadline=None)
+def test_property_label_forest_equals_chain_array(case):
+    n, wedges, window = case
+    c1 = np.asarray([a for a, _ in wedges], dtype=np.int64)
+    c2 = np.asarray([b for _, b in wedges], dtype=np.int64)
+    chain, forest = ChainArray(n), LabelForest(n)
+    want, got = [], []
+    for start in range(0, len(wedges), window):
+        stop = min(len(wedges), start + window)
+        want += chain.merge_run(c1, c2, start, stop)
+        got += forest.merge_run(c1, c2, start, stop)
+    assert got == want
+    assert forest.labels() == chain.labels()
+    assert forest.num_clusters() == chain.num_clusters()
+    assert forest.survivors <= len(wedges)
+    flat = forest.to_chain()
+    assert flat.labels() == chain.labels() and list(flat.raw()) == chain.labels()
+    assert flat.num_clusters() == flat.count_roots() == chain.num_clusters()
+    assert flat.changes == 0 and flat.accesses == 0
+
+
+@given(wedge_streams(), st.sampled_from([-1, -7, 0, 5]))
+@settings(max_examples=100, deadline=None)
+def test_property_label_forest_rejects_bad_index_untouched(case, offset):
+    # NumPy would wrap a negative index silently; the forest must not.
+    n, wedges, _ = case
+    bad = offset if offset < 0 else n + offset
+    forest = LabelForest(n)
+    c1 = [a for a, _ in wedges] + [0]
+    c2 = [b for _, b in wedges] + [0]
+    forest.merge_run(c1, c2, 0, len(wedges) // 2)
+    before = forest.labels(), forest.num_clusters(), forest.survivors
+    for col in (c1, c2):
+        col[-1] = bad
+        with pytest.raises(ClusteringError):
+            forest.merge_run(c1, c2, len(wedges) // 2, len(c1))
+        col[-1] = 0
+        assert (forest.labels(), forest.num_clusters(), forest.survivors) == before
+
+
+def test_label_forest_bad_window_raises():
+    forest = LabelForest(4)
+    for start, stop in ((1, 3), (2, 1), (-1, 1)):
+        with pytest.raises(ClusteringError):
+            forest.merge_run([0, 1], [1, 2], start, stop)
+    assert forest.labels() == [0, 1, 2, 3]
+    with pytest.raises(ClusteringError):
+        LabelForest(-1)

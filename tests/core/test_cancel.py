@@ -6,6 +6,7 @@ import threading
 
 import pytest
 
+from repro.cluster.unionfind import LabelForest
 from repro.core.cancel import CHECK_INTERVAL, CancelToken
 from repro.core.coarse import CoarseParams, coarse_sweep
 from repro.core.linkclust import LinkClustering
@@ -149,6 +150,33 @@ class TestLinkClusteringCancel:
         lc = LinkClustering(graph, cancel=token)
         with pytest.raises(RunCancelledError, match="caller gave up"):
             lc.run()
+
+    def test_fine_run_stops_at_every_forest_window(self, monkeypatch):
+        # A fine run merges through LabelForest one CHECK_INTERVAL
+        # window at a time; a trip at the k-th checkpoint must raise
+        # there, before window k is merged.
+        big = generators.caveman_graph(4, 20)
+        windows = -(-fast_similarity_columns(big).k2 // CHECK_INTERVAL)
+        assert windows >= 3
+        merged = []
+        kernel = LabelForest.merge_run
+
+        def counted(self, c1, c2, start, stop):
+            merged.append(start)
+            return kernel(self, c1, c2, start, stop)
+
+        monkeypatch.setattr(LabelForest, "merge_run", counted)
+        for k in range(1, windows + 1):
+            merged.clear()
+            token = _TripOnCheck(k)
+            with pytest.raises(RunCancelledError, match="mid-sweep"):
+                LinkClustering(big, cancel=token).run()
+            assert token.checks == k
+            assert merged == [w * CHECK_INTERVAL for w in range(k - 1)]
+        merged.clear()
+        token = _TripOnCheck(windows + 1)
+        LinkClustering(big, cancel=token).run()
+        assert token.checks == windows and len(merged) == windows
 
     def test_parallel_coarse_run_cancels(self, graph):
         token = CancelToken()

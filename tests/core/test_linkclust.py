@@ -2,14 +2,19 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.cluster.partition import EdgePartition
 from repro.cluster.validation import same_partition
 from repro.core.coarse import CoarseParams
 from repro.core.linkclust import LinkClustering
+from repro.core.similarity import compute_similarity_map
+from repro.core.sweep import sweep
 from repro.errors import ParameterError
 from repro.graph import generators
+from repro.obs import MemorySink, Tracer
 
 
 class TestConfiguration:
@@ -73,6 +78,39 @@ class TestFineRun:
         r1 = LinkClustering(weighted_caveman, seed=5).run()
         r2 = LinkClustering(weighted_caveman, seed=5).run()
         assert r1.edge_labels() == r2.edge_labels()
+
+
+class TestFineForestRun:
+    """A fine run merges on LabelForest; sweep() keeps array C."""
+
+    @pytest.mark.parametrize("seed", [None, 3])
+    def test_same_dendrogram_and_labels_as_chain_sweep(self, planted, seed):
+        order = (
+            None if seed is None
+            else planted.permuted_edge_ids(random.Random(seed))
+        )
+        oracle = sweep(planted, compute_similarity_map(planted), edge_order=order)
+        result = LinkClustering(planted, seed=seed).run()
+        assert result.dendrogram.merges == oracle.dendrogram.merges
+        assert result.edge_labels() == oracle.edge_labels()
+        assert result.num_levels == oracle.num_levels
+
+    def test_chain_is_flat_with_zero_counters(self, weighted_caveman):
+        result = LinkClustering(weighted_caveman).run()
+        chain = result.chain
+        assert list(chain.raw()) == chain.labels()
+        assert chain.changes == 0 and chain.accesses == 0
+        assert chain.num_clusters() == chain.count_roots()
+        assert chain.num_clusters() == weighted_caveman.num_edges - result.num_levels
+
+    def test_survivor_counter(self, weighted_caveman):
+        tracer = Tracer([MemorySink()])
+        result = LinkClustering(weighted_caveman, tracer=tracer).run()
+        survivors = tracer.counters["forest_survivors"]
+        assert result.num_levels <= survivors <= result.k2
+        coarse = Tracer([MemorySink()])
+        LinkClustering(weighted_caveman, coarse=True, tracer=coarse).run()
+        assert "forest_survivors" not in coarse.counters
 
 
 class TestCoarseRun:

@@ -30,6 +30,7 @@ from repro.fast.similarity import fast_similarity_columns
 from repro.graph import generators
 from repro.graph.graph import Graph
 from repro.obs import MemorySink, Tracer
+from repro.obs.sinks import Sink
 
 
 def _inputs(graph):
@@ -272,6 +273,25 @@ class TestWindows:
             store.close()
 
 
+class _CancelOnFirstSpill(Sink):
+    """Cancels ``token`` when the first ``storage:spill`` span closes,
+    noting which files the spill dirs under ``root`` held then."""
+
+    def __init__(self, token: CancelToken, root) -> None:
+        self.token = token
+        self.root = str(root)
+        self.seen = None
+
+    def emit(self, record) -> None:
+        if getattr(record, "name", None) == "storage:spill" and self.seen is None:
+            self.seen = [
+                name
+                for spill in os.listdir(self.root)
+                for name in os.listdir(os.path.join(self.root, spill))
+            ]
+            self.token.cancel("mid sweep B")
+
+
 class TestCleanup:
     def test_close_removes_spill_dir(self, tmp_path):
         graph = generators.caveman_graph(3, 4)
@@ -308,6 +328,46 @@ class TestCleanup:
             assert leftovers == []
         finally:
             store.close()
+
+    def test_streaming_run_files_removed_after_merge(self, tmp_path):
+        # The streaming build is the one that spills wedge runs: with a
+        # 1-byte budget it writes several, and only pairs.bin may stay.
+        graph = generators.caveman_graph(3, 4)
+        _, index_arr = _inputs(graph)
+        tracer = Tracer([MemorySink()])
+        store = MmapPairStore.build_streaming(
+            graph,
+            index_arr,
+            storage_dir=str(tmp_path),
+            memory_budget_bytes=1,
+            tracer=tracer,
+        )
+        try:
+            assert tracer.counters["spill_runs"] > 1
+            assert os.listdir(store.spill_dir) == ["pairs.bin"]
+        finally:
+            store.close()
+        assert os.listdir(str(tmp_path)) == []
+
+    def test_streaming_build_cancelled_in_sweep_b_cleans_spill_dir(self, tmp_path):
+        # Trip the token as the first wedge run is spilled; the next
+        # Sweep B checkpoint raises with a run file on disk, and the
+        # whole spill dir must still go.
+        graph = generators.caveman_graph(3, 4)
+        _, index_arr = _inputs(graph)
+        token = CancelToken()
+        sink = _CancelOnFirstSpill(token, tmp_path)
+        with pytest.raises(RunCancelledError, match="mid sweep B"):
+            MmapPairStore.build_streaming(
+                graph,
+                index_arr,
+                storage_dir=str(tmp_path),
+                memory_budget_bytes=1,
+                tracer=Tracer([sink]),
+                cancel=token,
+            )
+        assert "wedges0.bin" in sink.seen
+        assert os.listdir(str(tmp_path)) == []
 
     def test_cancelled_build_cleans_spill_dir(self, tmp_path):
         graph = generators.caveman_graph(3, 4)
