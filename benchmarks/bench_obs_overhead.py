@@ -71,7 +71,7 @@ def test_obs_overhead(benchmark, preset, results_dir, tmp_path):
     samples = {name: [] for name in variants}
     names = list(variants)
     for i in range(ROUNDS):
-        for name in names[i % 3:] + names[:i % 3]:
+        for name in names[i % len(names):] + names[:i % len(names)]:
             samples[name].append(_sample(variants[name], reps))
     overhead = {
         name: _median([t / off - 1.0 for t, off in zip(times, samples["off"])])
