@@ -20,7 +20,7 @@ from repro.cluster.serialize import (
     load_dendrogram,
     loads_dendrogram,
 )
-from repro.cluster.unionfind import ChainArray, DisjointSet, MergeOutcome
+from repro.cluster.unionfind import ChainArray, DisjointSet, LabelForest, MergeOutcome
 from repro.cluster.validation import (
     adjusted_rand_index,
     canonical_labels,
@@ -38,6 +38,7 @@ __all__ = [
     "DendrogramBuilder",
     "DisjointSet",
     "EdgePartition",
+    "LabelForest",
     "Merge",
     "MergeOutcome",
     "adjusted_rand_index",
