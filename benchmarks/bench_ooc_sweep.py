@@ -3,7 +3,7 @@
 Runs the Fig. 5 association-graph workload through the mmap pair store
 with a deliberately tiny ``memory_budget_bytes`` and asserts the
 dendrogram is bitwise-identical to the in-memory columnar run at every
-level.  The serial rows (chained, batch and sharded engines) take the
+level.  The serial rows (chained and batch engines) take the
 streaming build, which spills wedge runs and merges them.  The
 thread×2 row takes the columns-fed build, which writes list L to the
 pair file in budget-sized gather windows and spills nothing.  The
@@ -25,7 +25,6 @@ from repro.obs import MemorySink, Tracer
 CELLS = (
     ("chained", "serial", 1),
     ("batch", "serial", 1),
-    ("sharded", "serial", 1),
     ("batch", "thread", 2),
 )
 

@@ -1,20 +1,23 @@
-"""Batch vs sharded sweep engine (the PR's headline claim).
+"""Batch vs sharded sweep engine.
 
 Four sections, all written into ``benchmarks/results/sharded_sweep.json``:
 
-- **serial engines**: chained vs batch vs sharded on the serial coarse
-  driver across the Fig. 5 alpha sweep.
+- **serial engines**: chained vs batch on the serial coarse driver
+  across the Fig. 5 alpha sweep (the sharded engine has no serial
+  path).
 - **parallel engines**: batch vs sharded through
   ``parallel_coarse_sweep`` at >= 4 workers on the largest Fig. 5
-  graph, asserting the sharded sweep is no slower on thread and shm
-  (skipped at tiny scale, where fixed per-chunk costs dominate).
+  graph, on the shm arena (the one backend that runs the sharded
+  engine), asserting the sharded sweep is no slower (skipped at tiny
+  scale, where fixed per-chunk costs dominate).
 - **memory**: per-worker resident bytes of array ``C`` — the batch
   engine hands every worker a full ``8n``-byte copy, the sharded
   engine only its widest owned slice — asserting a >= 3x reduction at
   4 workers.
 - **boundary traffic**: the ``boundary_edges`` counter from a traced
-  sharded run, asserting the deduplicated cross-shard cluster pairs
-  stay well below K2 (the whole point of owner-computes sharding).
+  sharded run on the arena, asserting the deduplicated cross-shard
+  cluster pairs stay well below K2 (the whole point of owner-computes
+  sharding).
 
 Every section verifies the engines produce identical partitions before
 timing them — a benchmark over diverging results would be meaningless.
@@ -38,9 +41,9 @@ WORKERS = 4
 
 def _verify_engines_agree(graph, cols, params):
     chained = coarse_sweep(graph, cols, params=params, engine="chained")
-    sharded = coarse_sweep(graph, cols, params=params, engine="sharded")
-    assert chained.num_levels == sharded.num_levels
-    assert same_partition(chained.edge_labels(), sharded.edge_labels())
+    batch = coarse_sweep(graph, cols, params=params, engine="batch")
+    assert chained.num_levels == batch.num_levels
+    assert same_partition(chained.edge_labels(), batch.edge_labels())
 
 
 def _time_parallel(graph, cols, params, backend, engine, oracle):
@@ -59,17 +62,17 @@ def _time_parallel(graph, cols, params, backend, engine, oracle):
 
 
 def test_sharded_sweep(benchmark, results_dir, preset):
-    # -- section 1: serial sweep, all three engines ---------------------
+    # -- section 1: serial sweep, chained vs batch ----------------------
     serial_table = ResultTable(
-        "Serial coarse sweep: chained vs batch vs sharded (Fig. 5 workload)",
-        ["alpha", "k2", "chained_seconds", "batch_seconds", "sharded_seconds"],
+        "Serial coarse sweep: chained vs batch (Fig. 5 workload)",
+        ["alpha", "k2", "chained_seconds", "batch_seconds"],
     )
     for alpha in preset.alphas:
         work = fig5_workload(alpha, preset)
         graph, cols, params = work.graph, work.cols, work.params
         _verify_engines_agree(graph, cols, params)
         timings = {}
-        for engine in ("chained", "batch", "sharded"):
+        for engine in ("chained", "batch"):
             _, t = time_call(
                 lambda e=engine: coarse_sweep(graph, cols, params=params, engine=e),
                 repeat=REPEAT,
@@ -80,7 +83,6 @@ def test_sharded_sweep(benchmark, results_dir, preset):
             k2=cols.k2,
             chained_seconds=round(timings["chained"], 5),
             batch_seconds=round(timings["batch"], 5),
-            sharded_seconds=round(timings["sharded"], 5),
         )
     serial_table.show()
 
@@ -93,31 +95,32 @@ def test_sharded_sweep(benchmark, results_dir, preset):
         f"Parallel sweep phase ({WORKERS} workers): batch vs sharded",
         ["backend", "alpha", "k2", "batch_seconds", "sharded_seconds", "ratio"],
     )
-    arena_shard_bytes = None
-    for backend in ("thread", "shm"):
-        if backend == "shm":
-            with ShmSweepRuntime(WORKERS) as runtime:
-                t_batch = _time_parallel(graph, cols, params, runtime, "batch", oracle)
-                t_sharded = _time_parallel(
-                    graph, cols, params, runtime, "sharded", oracle
-                )
-                arena = runtime.arena
-                assert arena is not None
-                # Owner-computes really ran: shard tasks crossed the
-                # queues and no per-worker row copy of C was refreshed.
-                assert arena.shard_tasks > 0, arena.shard_tasks
-                arena_shard_bytes = arena.shard_bytes
-        else:
-            t_batch = _time_parallel(graph, cols, params, backend, "batch", oracle)
-            t_sharded = _time_parallel(graph, cols, params, backend, "sharded", oracle)
-        parallel_table.add_row(
-            backend=backend,
-            alpha=top_alpha,
-            k2=cols.k2,
-            batch_seconds=round(t_batch, 5),
-            sharded_seconds=round(t_sharded, 5),
-            ratio=round(t_batch / t_sharded, 2),
+    with ShmSweepRuntime(WORKERS) as runtime:
+        t_batch = _time_parallel(graph, cols, params, runtime, "batch", oracle)
+        t_sharded = _time_parallel(graph, cols, params, runtime, "sharded", oracle)
+        arena = runtime.arena
+        assert arena is not None
+        # Owner-computes really ran: shard tasks crossed the queues and
+        # no per-worker row copy of C was refreshed.
+        assert arena.shard_tasks > 0, arena.shard_tasks
+        arena_shard_bytes = arena.shard_bytes
+
+        # -- section 4 (run here, on the warm arena): boundary traffic --
+        sink = MemorySink()
+        tracer = Tracer([sink])
+        traced = parallel_coarse_sweep(
+            graph, cols, params=params, num_workers=WORKERS, backend=runtime,
+            engine="sharded", tracer=tracer,
         )
+        tracer.flush()
+    parallel_table.add_row(
+        backend="shm",
+        alpha=top_alpha,
+        k2=cols.k2,
+        batch_seconds=round(t_batch, 5),
+        sharded_seconds=round(t_sharded, 5),
+        ratio=round(t_batch / t_sharded, 2),
+    )
     parallel_table.show()
     if preset.name != "tiny":
         worst = min(row["ratio"] for row in parallel_table.rows)
@@ -131,8 +134,7 @@ def test_sharded_sweep(benchmark, results_dir, preset):
     part = ShardedPartition.build(n, WORKERS)
     batch_bytes = 8 * n
     sharded_bytes = 8 * part.max_width
-    if arena_shard_bytes is not None:
-        assert arena_shard_bytes == sharded_bytes, (arena_shard_bytes, sharded_bytes)
+    assert arena_shard_bytes == sharded_bytes, (arena_shard_bytes, sharded_bytes)
     reduction = batch_bytes / sharded_bytes
     memory_table = ResultTable(
         f"Per-worker resident C bytes ({WORKERS} workers)",
@@ -153,10 +155,6 @@ def test_sharded_sweep(benchmark, results_dir, preset):
         )
 
     # -- section 4: boundary traffic stays well below K2 ----------------
-    sink = MemorySink()
-    tracer = Tracer([sink])
-    traced = coarse_sweep(graph, cols, params=params, engine="sharded", tracer=tracer)
-    tracer.flush()
     assert same_partition(oracle.edge_labels(), traced.edge_labels())
     boundary = int(sink.counters.get("boundary_edges", 0))
     if preset.name != "tiny":
@@ -185,7 +183,10 @@ def test_sharded_sweep(benchmark, results_dir, preset):
     # Steady-state headline number: the sharded sweep on the largest
     # Fig. 5 graph (pytest-benchmark reports it alongside the JSON).
     benchmark.pedantic(
-        lambda: coarse_sweep(graph, cols, params=params, engine="sharded"),
+        lambda: parallel_coarse_sweep(
+            graph, cols, params=params, num_workers=WORKERS, backend="shm",
+            engine="sharded",
+        ),
         rounds=1,
         iterations=1,
     )

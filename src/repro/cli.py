@@ -111,7 +111,8 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
         help="sweep merge engine: chained (the paper's sequential MERGE "
         "chain), batch (per-level vectorized connected components), or "
         "sharded (owner-computes C shards with boundary reconciliation); "
-        "batch and sharded require --coarse",
+        "batch and sharded require --coarse, and sharded needs "
+        "--backend shm --workers >= 2",
     )
     parser.add_argument(
         "--profile",

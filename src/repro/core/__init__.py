@@ -30,9 +30,6 @@ from repro.core.registry import (
     backend_names,
     engine_names,
     pair_format_names,
-    register_backend,
-    register_engine,
-    register_pair_format,
     validate_run_settings,
 )
 from repro.core.simcolumns import SimilarityColumns, wedge_edge_arrays
@@ -103,9 +100,6 @@ __all__ = [
     "next_mode",
     "normalize_curve",
     "pair_format_names",
-    "register_backend",
-    "register_engine",
-    "register_pair_format",
     "shrink_eta",
     "sigmoid",
     "standard_cost_bound",

@@ -37,7 +37,8 @@ Implementation notes (documented deviations, none behavioural):
   ones.
 
 State: the chained engine keeps the paper's :class:`ChainArray`; the
-batch and sharded engines keep a fully compressed ``int64`` label array
+batch engine (and the sharded engine, which runs only on the parallel
+driver) keeps a fully compressed ``int64`` label array
 (``lab[i]`` = minimum member of ``i``'s cluster) and derive a level's
 records at commit with one vectorized diff (:func:`transition_merges`).
 """
@@ -60,7 +61,7 @@ from repro.core.chunking import (
 )
 from repro.core.cancel import CancelToken
 from repro.core.modes import Mode, evaluate_predicates, next_mode
-from repro.core.registry import get_engine
+from repro.core.registry import get_engine, require_backend_engine
 from repro.core.simcolumns import SimilarityColumns
 from repro.core.similarity import SimilarityMap, compute_similarity_map
 from repro.core.storage import StorageSettings, make_pair_store
@@ -77,13 +78,6 @@ __all__ = [
     "FixedChunkLevel",
     "fixed_chunk_sweep",
 ]
-
-# Shard count for serial sharded runs when the caller does not pick one.
-# Results are shard-count-invariant (tested), so this only controls how
-# much boundary machinery a serial run exercises; 4 matches the paper's
-# reference worker count.
-DEFAULT_SERIAL_SHARDS = 4
-
 
 @dataclass(frozen=True)
 class CoarseParams:
@@ -241,13 +235,12 @@ class _CoarseSweeper:
     ``engine`` selects how a chunk's merge stream is applied:
     ``"chained"`` runs the paper's sequential ``MERGE`` per wedge;
     ``"batch"`` unions the whole chunk with vectorized connected-
-    components rounds (:mod:`repro.fast.batch_sweep`); ``"sharded"``
-    splits the chunk by contiguous vertex ownership, contracts each
-    shard locally, and reconciles boundary pairs on the host
-    (:mod:`repro.parallel.sharded_sweep`).  Chunk boundaries depend
-    only on the pair counts and the per-level partitions are
-    identical, so all engines walk the same epoch sequence and build
-    the same dendrogram levels.
+    components rounds (:mod:`repro.fast.batch_sweep`).  The parallel
+    driver (:mod:`repro.parallel.par_sweep`) overrides chunk
+    application and also runs ``"sharded"`` on the shm arena.  Chunk
+    boundaries depend only on the pair counts and the per-level
+    partitions are identical, so all engines walk the same epoch
+    sequence and build the same dendrogram levels.
     """
 
     # True for drivers whose chunks merge on per-worker copies: they
@@ -262,18 +255,16 @@ class _CoarseSweeper:
         edge_order: Optional[Sequence[int]],
         tracer=None,
         engine: str = "chained",
-        num_shards: Optional[int] = None,
         cancel: Optional[CancelToken] = None,
         storage: Optional[StorageSettings] = None,
     ):
-        engine_spec = get_engine(engine)
+        if self.per_worker:
+            get_engine(engine)
+        else:
+            # This driver applies chunks itself: chained MERGE or the
+            # batch kernel, the serial backend's engines.
+            require_backend_engine("serial", engine)
         self.cancel = cancel
-        if num_shards is not None and engine != "sharded":
-            raise ParameterError(
-                f"num_shards requires engine='sharded', got {engine!r}"
-            )
-        if num_shards is not None and num_shards < 1:
-            raise ParameterError(f"num_shards must be >= 1, got {num_shards}")
         if isinstance(similarity_map, SimilarityMap) and (
             engine != "chained"
             or self.per_worker
@@ -285,7 +276,6 @@ class _CoarseSweeper:
             # (same list-L order).
             similarity_map = SimilarityColumns.from_similarity_map(similarity_map)
         self.engine = engine
-        self.engine_spec = engine_spec
         # Chained serial replays saved merge events on a state jump; the
         # batch/sharded engines (and the parallel driver, which overrides
         # this) have no per-merge event stream and diff partitions instead.
@@ -337,18 +327,6 @@ class _CoarseSweeper:
                 self.pairs = similarity_map.sorted_pairs()
         self.tracer.gauge("k1", self.k1)
         self.tracer.gauge("k2", self.k2)
-
-        # Vertex-ownership map for the serial sharded engine (the
-        # parallel driver shards by its runtime's worker count instead).
-        # Results are shard-count-invariant, so the default only decides
-        # how much boundary machinery a serial run exercises.
-        self.shard_part = None
-        if engine == "sharded":
-            from repro.parallel.partitioner import ShardedPartition
-
-            self.shard_part = ShardedPartition.build(
-                self.num_edges, num_shards or DEFAULT_SERIAL_SHARDS
-            )
 
         self.c1_arr: Optional[np.ndarray] = None
         self.c2_arr: Optional[np.ndarray] = None
@@ -531,10 +509,8 @@ class _CoarseSweeper:
         # The serial path has no spawn/copy/merge steps; its whole chunk
         # cost is compute, traced under the same name the runtimes use so
         # cross-backend traces stay comparable.
-        if self.engine_spec.chunk_applier is not None:
-            # Registered engines name their chunk applier in the spec
-            # (_apply_chunk_batch / _apply_chunk_sharded for built-ins).
-            getattr(self, self.engine_spec.chunk_applier)(chunk)
+        if self.engine == "batch":
+            self._apply_chunk_batch(chunk)
             return
         chain = self.chain
         assert isinstance(chain, ChainArray)
@@ -611,36 +587,6 @@ class _CoarseSweeper:
                 c1w, c2w = store.window(s, e)
                 after = batch_components(after, c1w, c2w, tracer=self.tracer)
         self._advance(after)
-
-    def _apply_chunk_sharded(self, chunk: range) -> None:
-        """Owner-computes chunk: per-shard local contraction + reconcile.
-
-        Same level records as :meth:`_apply_chunk_batch` (partition
-        diff), but the contraction runs shard-by-shard over identity
-        labels of each owned slice with a host reconciliation of the
-        deduplicated boundary pairs.
-        """
-        from repro.parallel.sharded_sweep import sharded_components
-
-        store = self.store
-        assert store is not None
-        w_start = int(store.offsets[chunk.start])
-        w_end = int(store.offsets[chunk.stop])
-        self.xi += w_end - w_start
-        self.p = chunk.stop
-        if w_start == w_end:
-            return
-        assert self.shard_part is not None
-        # Window-at-a-time is exact here too: every window's level is
-        # fully reconciled, and union merges are order-independent.
-        base = _as_labels(self.chain)
-        with self.tracer.span("runtime:compute", workers=1):
-            for s, e in store.window_ranges(w_start, w_end):
-                c1w, c2w = store.window(s, e)
-                base, _stats = sharded_components(
-                    base, c1w, c2w, self.shard_part, tracer=self.tracer
-                )
-        self._advance(base)
 
     # ------------------------------------------------------------------
     # epoch boundary handling
@@ -893,7 +839,6 @@ def coarse_sweep(
     edge_order: Optional[Sequence[int]] = None,
     tracer=None,
     engine: str = "chained",
-    num_shards: Optional[int] = None,
     cancel: Optional[CancelToken] = None,
     storage: Optional[StorageSettings] = None,
 ) -> CoarseResult:
@@ -906,19 +851,16 @@ def coarse_sweep(
     vectorized).  Edge ids carried by caller columns are trusted here,
     not checked against ``graph``; :meth:`LinkClustering.run
     <repro.core.linkclust.LinkClustering.run>` is the entry that vets
-    them.  ``engine`` selects the chunk merge engine:
-    ``"chained"`` (sequential MERGE, the oracle), ``"batch"``
-    (per-level vectorized connected components), or ``"sharded"``
-    (owner-computes contiguous C shards — ``num_shards`` of them,
-    default ``DEFAULT_SERIAL_SHARDS`` — with host boundary
-    reconciliation); dict input is converted to
-    columns for both alternates.  ``tracer`` gets ``phase:sort``,
-    ``phase:sweep``, and per-epoch ``sweep:chunk[i]`` spans (the batch
-    engine adds per-round ``sweep:batch_round`` spans and a
-    ``batch_rounds`` counter; the sharded engine ``sweep:shard[s]`` /
-    ``sweep:reconcile`` spans and ``boundary_edges`` /
-    ``reconcile_rounds`` / ``shard_bytes`` counters) plus level events
-    and merge/rollback/jump counters.  ``cancel`` is an optional
+    them.  ``engine`` selects the chunk merge engine: ``"chained"``
+    (sequential MERGE, the oracle) or ``"batch"`` (per-level vectorized
+    connected components; dict input is converted to columns for it).
+    ``"sharded"`` raises :class:`~repro.errors.ParameterError`: it runs
+    only on the shm arena with two or more workers
+    (:func:`repro.parallel.par_sweep.parallel_coarse_sweep`).
+    ``tracer`` gets ``phase:sort``, ``phase:sweep``, and per-epoch
+    ``sweep:chunk[i]`` spans (the batch engine adds per-round
+    ``sweep:batch_round`` spans and a ``batch_rounds`` counter) plus
+    level events and merge/rollback/jump counters.  ``cancel`` is an optional
     :class:`~repro.core.cancel.CancelToken` checked at every chunk
     boundary (:class:`~repro.errors.RunCancelledError` when triggered).
     ``storage`` selects the pair-store backing
@@ -944,7 +886,6 @@ def coarse_sweep(
         edge_order,
         tracer,
         engine=engine,
-        num_shards=num_shards,
         cancel=cancel,
         storage=storage,
     )

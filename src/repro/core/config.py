@@ -30,17 +30,16 @@ from repro.errors import ParameterError
 
 __all__ = ["RunConfig", "BACKENDS", "ENGINES", "PAIR_FORMATS"]
 
-# Name tuples snapshot the capability registry (repro.core.registry) at
-# import time; the registry is the authoritative table — specs,
-# constraints, and factory hooks all live there, and engines/backends
-# registered later appear in registry.engine_names() etc. first.
+# Name tuples of the capability registry (repro.core.registry), the
+# authoritative table: specs, constraints and runtime factories all
+# live there.
 BACKENDS = backend_names()
 
 # Sweep merge engines: "chained" is the paper's sequential MERGE chain
 # (the oracle), "batch" the per-level vectorized connected-components
 # engine (repro.fast.batch_sweep), "sharded" the owner-computes variant
-# where each worker holds only its contiguous C slice and the host
-# reconciles boundary edges per level (repro.parallel.sharded_sweep).
+# where each shm arena worker holds only its contiguous C slice and the
+# host reconciles boundary edges per level (repro.parallel.sharded_sweep).
 # Both alternates are dendrogram-identical to chained and require the
 # columnar wedge stream plus a coarse (chunked) sweep.
 ENGINES = engine_names()
@@ -84,9 +83,11 @@ class RunConfig:
         (owner-computes contiguous C shards with host boundary
         reconciliation, :mod:`repro.parallel.sharded_sweep`).  Both
         alternates are dendrogram-identical to chained and require a
-        coarse sweep.  A coarse chained sweep does not run on
-        ``backend="shm"``: the shared-memory arena runs only the batch
-        and sharded engines (the registry's ``BackendSpec.engines``).
+        coarse sweep.  ``"sharded"`` runs only with ``backend="shm"``
+        and ``num_workers >= 2``, and a coarse chained sweep does not
+        run on ``backend="shm"``: the shared-memory arena runs only the
+        batch and sharded engines (the registry's ``BackendSpec.engines``).
+        Any other pairing raises :class:`ParameterError`.
     storage_dir:
         Root directory for the out-of-core store's run-scoped spill
         directory (``pairs_format="mmap"`` only; system temp dir when

@@ -279,7 +279,9 @@ class LinkClustering:
         (``shm`` applies to the sweep and falls back to the process
         backend for Phase I).  A coarse ``shm`` run needs the batch or
         sharded engine (``config=RunConfig(engine=...)``); the chained
-        engine runs on the other three.
+        engine runs on the other three.  The sharded engine runs only
+        on ``shm`` with ``num_workers >= 2``: a one-worker run takes
+        the serial sweep, which has no sharded path.
     num_workers:
         Worker count for parallel backends (ignored for serial).
     seed:

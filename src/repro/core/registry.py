@@ -4,17 +4,10 @@ The engine × backend × pairs_format rules used to live as ad-hoc
 ``if`` chains scattered through :class:`~repro.core.config.RunConfig`,
 ``coarse_sweep``, and the CLI.  This module is the single declarative
 home for those facts: each engine, backend, and pair format is a frozen
-spec carrying its constraints and factory hooks, and every consumer —
-``RunConfig.validate()``, the coarse sweeper, ``get_sweep_runtime``,
-the CLI's flag choices and error messages, and the serving daemon —
-reads the same table.
-
-New execution modes (a duckdb engine, a gpu backend) slot in through
-:func:`register_engine` / :func:`register_backend` without touching
-``LinkClustering``: the spec declares what the mode needs (coarse
-sweeping, the columnar pair stream, the backends that run it) and how
-to build its runtime, and validation/dispatch pick it up everywhere at
-once.
+spec carrying its constraints (and, for backends, the runtime factory),
+and every consumer — ``RunConfig.validate()``, the coarse sweeper,
+``get_sweep_runtime``, the CLI's flag choices and error messages, and
+the serving daemon — reads the same fixed tables.
 """
 
 from __future__ import annotations
@@ -37,9 +30,6 @@ __all__ = [
     "get_engine",
     "get_backend",
     "get_pair_format",
-    "register_engine",
-    "register_backend",
-    "register_pair_format",
     "validate_run_settings",
     "require_backend_engine",
     "make_runtime",
@@ -54,15 +44,15 @@ class EngineSpec:
     """One sweep merge engine and its requirements.
 
     ``requires_coarse`` — the engine only exists as a chunked (coarse)
-    sweep; ``chunk_applier`` — the name of the ``_CoarseSweeper`` method
-    that applies one chunk's merge stream (``None`` means the default
-    chained MERGE path).
+    sweep; ``min_workers`` — the fewest workers a run of it may ask for
+    (a one-worker run takes the serial sweep, so an engine without a
+    serial path needs two).
     """
 
     name: str
     summary: str
     requires_coarse: bool = False
-    chunk_applier: Optional[str] = None
+    min_workers: int = 1
 
 
 @dataclass(frozen=True)
@@ -77,11 +67,9 @@ class BackendSpec:
 
     name: str
     summary: str
+    runtime_factory: Callable[[int], "SweepRuntime"] = field(repr=False)
     parallel: bool = True
-    engines: Tuple[str, ...] = ("chained", "batch", "sharded")
-    runtime_factory: Optional[Callable[[int], "SweepRuntime"]] = field(
-        default=None, repr=False
-    )
+    engines: Tuple[str, ...] = ("chained", "batch")
 
 
 @dataclass(frozen=True)
@@ -96,36 +84,87 @@ class PairFormatSpec:
     requires_coarse: bool = False
 
 
+def _local_runtime(backend_name: str) -> Callable[[int], "SweepRuntime"]:
+    def factory(num_workers: int) -> "SweepRuntime":
+        from repro.parallel.runtime import LocalSweepRuntime
+
+        return LocalSweepRuntime(backend_name, num_workers)
+
+    return factory
+
+
+def _shm_runtime(num_workers: int) -> "SweepRuntime":
+    from repro.parallel.runtime import ShmSweepRuntime
+
+    return ShmSweepRuntime(num_workers)
+
+
 # ----------------------------------------------------------------------
 # the tables (ordered: declaration order is presentation order)
 # ----------------------------------------------------------------------
-_ENGINES: Dict[str, EngineSpec] = {}
-_BACKENDS: Dict[str, BackendSpec] = {}
-_PAIR_FORMATS: Dict[str, PairFormatSpec] = {}
+_ENGINES: Dict[str, EngineSpec] = {
+    spec.name: spec
+    for spec in (
+        EngineSpec(
+            name="chained",
+            summary="the paper's sequential MERGE chain (the tested oracle)",
+        ),
+        EngineSpec(
+            name="batch",
+            summary="per-level vectorized connected-components rounds",
+            requires_coarse=True,
+        ),
+        EngineSpec(
+            name="sharded",
+            summary="owner-computes C shards with host boundary reconciliation",
+            requires_coarse=True,
+            min_workers=2,
+        ),
+    )
+}
 
+_BACKENDS: Dict[str, BackendSpec] = {
+    spec.name: spec
+    for spec in (
+        BackendSpec(
+            name="serial",
+            summary="single-threaded reference path",
+            parallel=False,
+            runtime_factory=_local_runtime("serial"),
+        ),
+        BackendSpec(
+            name="thread",
+            summary="thread pool over shared arrays",
+            runtime_factory=_local_runtime("thread"),
+        ),
+        BackendSpec(
+            name="process",
+            summary="process pool with pickled chunk copies",
+            runtime_factory=_local_runtime("process"),
+        ),
+        BackendSpec(
+            name="shm",
+            summary="resident shared-memory arena workers",
+            engines=("batch", "sharded"),
+            runtime_factory=_shm_runtime,
+        ),
+    )
+}
 
-def register_engine(spec: EngineSpec) -> EngineSpec:
-    """Add an engine to the capability table (name must be new)."""
-    if spec.name in _ENGINES:
-        raise ParameterError(f"engine {spec.name!r} is already registered")
-    _ENGINES[spec.name] = spec
-    return spec
-
-
-def register_backend(spec: BackendSpec) -> BackendSpec:
-    """Add a backend to the capability table (name must be new)."""
-    if spec.name in _BACKENDS:
-        raise ParameterError(f"backend {spec.name!r} is already registered")
-    _BACKENDS[spec.name] = spec
-    return spec
-
-
-def register_pair_format(spec: PairFormatSpec) -> PairFormatSpec:
-    """Add a pair format to the capability table (name must be new)."""
-    if spec.name in _PAIR_FORMATS:
-        raise ParameterError(f"pair format {spec.name!r} is already registered")
-    _PAIR_FORMATS[spec.name] = spec
-    return spec
+_PAIR_FORMATS: Dict[str, PairFormatSpec] = {
+    spec.name: spec
+    for spec in (
+        PairFormatSpec(
+            name="columnar",
+            summary="flat numpy SimilarityColumns (vectorized, shm-transportable)",
+        ),
+        PairFormatSpec(
+            name="mmap",
+            summary="memory-mapped out-of-core pair store (external sort + spill)",
+            requires_coarse=True,
+        ),
+    )
+}
 
 
 def engine_names() -> Tuple[str, ...]:
@@ -168,93 +207,6 @@ def get_pair_format(name: str) -> PairFormatSpec:
 
 
 # ----------------------------------------------------------------------
-# built-in engines / backends / pair formats
-# ----------------------------------------------------------------------
-def _local_runtime(backend_name: str) -> Callable[[int], "SweepRuntime"]:
-    def factory(num_workers: int) -> "SweepRuntime":
-        from repro.parallel.runtime import LocalSweepRuntime
-
-        return LocalSweepRuntime(backend_name, num_workers)
-
-    return factory
-
-
-def _shm_runtime(num_workers: int) -> "SweepRuntime":
-    from repro.parallel.runtime import ShmSweepRuntime
-
-    return ShmSweepRuntime(num_workers)
-
-
-register_engine(
-    EngineSpec(
-        name="chained",
-        summary="the paper's sequential MERGE chain (the tested oracle)",
-    )
-)
-register_engine(
-    EngineSpec(
-        name="batch",
-        summary="per-level vectorized connected-components rounds",
-        requires_coarse=True,
-        chunk_applier="_apply_chunk_batch",
-    )
-)
-register_engine(
-    EngineSpec(
-        name="sharded",
-        summary="owner-computes C shards with host boundary reconciliation",
-        requires_coarse=True,
-        chunk_applier="_apply_chunk_sharded",
-    )
-)
-
-register_backend(
-    BackendSpec(
-        name="serial",
-        summary="single-threaded reference path",
-        parallel=False,
-        runtime_factory=_local_runtime("serial"),
-    )
-)
-register_backend(
-    BackendSpec(
-        name="thread",
-        summary="thread pool over shared arrays",
-        runtime_factory=_local_runtime("thread"),
-    )
-)
-register_backend(
-    BackendSpec(
-        name="process",
-        summary="process pool with pickled chunk copies",
-        runtime_factory=_local_runtime("process"),
-    )
-)
-register_backend(
-    BackendSpec(
-        name="shm",
-        summary="resident shared-memory arena workers",
-        engines=("batch", "sharded"),
-        runtime_factory=_shm_runtime,
-    )
-)
-
-register_pair_format(
-    PairFormatSpec(
-        name="columnar",
-        summary="flat numpy SimilarityColumns (vectorized, shm-transportable)",
-    )
-)
-register_pair_format(
-    PairFormatSpec(
-        name="mmap",
-        summary="memory-mapped out-of-core pair store (external sort + spill)",
-        requires_coarse=True,
-    )
-)
-
-
-# ----------------------------------------------------------------------
 # the one validation routine
 # ----------------------------------------------------------------------
 def validate_run_settings(
@@ -279,9 +231,9 @@ def validate_run_settings(
     """
     get_backend(backend)
     engine_spec = get_engine(engine)
+    format_spec = get_pair_format(pairs_format)
     if coarse:
         require_backend_engine(backend, engine)
-    format_spec = get_pair_format(pairs_format)
     if format_spec.requires_coarse and not coarse:
         raise ParameterError(
             f"pairs_format={pairs_format!r} requires coarse sweeping "
@@ -316,12 +268,18 @@ def validate_run_settings(
             f"engine={engine!r} requires coarse sweeping "
             "(pass coarse=True or CoarseParams)"
         )
+    if num_workers < engine_spec.min_workers:
+        raise ParameterError(
+            f"engine={engine!r} needs num_workers >= {engine_spec.min_workers} "
+            f"(one-worker runs take the serial sweep), got {num_workers}"
+        )
 
 
 def require_backend_engine(backend: str, engine: str) -> None:
     """Raise :class:`ParameterError` unless ``backend`` runs ``engine``.
 
-    Shared by :func:`validate_run_settings` and
+    Shared by :func:`validate_run_settings`, the serial coarse sweeper
+    (checked as ``backend="serial"``) and
     :func:`repro.parallel.par_sweep.parallel_coarse_sweep`, which checks
     a caller-owned runtime by its backend name.
     """
@@ -335,10 +293,5 @@ def require_backend_engine(backend: str, engine: str) -> None:
 
 
 def make_runtime(backend: str, num_workers: int) -> "SweepRuntime":
-    """Build the registered backend's :class:`SweepRuntime`."""
-    spec = get_backend(backend)
-    if spec.runtime_factory is None:
-        raise ParameterError(
-            f"backend {backend!r} declares no runtime factory"
-        )
-    return spec.runtime_factory(num_workers)
+    """Build the backend's :class:`SweepRuntime`."""
+    return get_backend(backend).runtime_factory(num_workers)

@@ -28,7 +28,6 @@ from repro.parallel.partitioner import (
 )
 from repro.parallel.sharded_sweep import (
     ShardedChunkStats,
-    ShardTask,
     sharded_components,
 )
 from repro.parallel.pool import (
@@ -55,7 +54,6 @@ __all__ = [
     "RuntimePool",
     "SWEEP_BACKENDS",
     "SerialBackend",
-    "ShardTask",
     "ShardedChunkStats",
     "ShardedPartition",
     "ShmArena",

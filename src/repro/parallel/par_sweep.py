@@ -13,8 +13,9 @@ Both steps run on a persistent :class:`~repro.parallel.runtime.SweepRuntime`
 ``backend="shm"``) is created once per sweep and reused across every
 chunk and epoch, exactly as the paper's pthreads outlive the run.  The
 two steps above are the chained engine's, on the ``thread`` and
-``process`` backends; the shared-memory arena runs only the batch and
-sharded engines (the registry's ``BackendSpec.engines``).
+``process`` backends.  The batch engine runs on every backend; the
+sharded engine runs only on the shared-memory arena, which in turn has
+no chained path (the registry's ``BackendSpec.engines``).
 
 The sweep reaches the runtime through one transport.  A dict similarity
 map converts to columns at sweep entry (with no map, Phase I runs
@@ -147,13 +148,15 @@ def parallel_coarse_sweep(
     ``"chained"`` walks the paper's sequential MERGE chain,
     ``"batch"`` contracts the share vectorized
     (:mod:`repro.fast.batch_sweep`) and the runtime joins the rows with
-    one more contraction, and ``"sharded"`` gives each worker ownership
-    of one contiguous vertex range of ``C`` (no private full copies;
-    :mod:`repro.parallel.sharded_sweep`) with host-side boundary
-    reconciliation per level.  The ``shm`` backend runs only
-    ``"batch"`` and ``"sharded"``; ``engine="chained"`` on it (by name
-    or as a caller-owned runtime) raises
-    :class:`~repro.errors.ParameterError` before any work starts.
+    one more contraction, and ``"sharded"`` gives each arena worker
+    ownership of one contiguous vertex range of ``C`` (no private full
+    copies; :mod:`repro.parallel.sharded_sweep`) with host-side
+    boundary reconciliation per level.  The ``shm`` backend runs only
+    ``"batch"`` and ``"sharded"``, and ``"sharded"`` runs only on
+    ``shm``; any other pairing (by name or as a caller-owned runtime)
+    raises :class:`~repro.errors.ParameterError` before any work
+    starts.  A one-worker shm runtime runs sharded levels in process
+    (the arena's fallback).
     Every engine runs on the columnar pair
     pipeline: a dict ``similarity_map`` is converted up front (same
     list-L order, so the same chunks and levels), and a missing one is

@@ -14,9 +14,9 @@ A sweep reaches a runtime through one transport: the sorted pair
 columns are loaded once (:meth:`SweepRuntime.load_pairs` or
 :meth:`SweepRuntime.load_pairs_file`), and every chunk is then a
 ``[start, stop)`` window of them — :meth:`SweepRuntime.chunk_merge_range`
-for the chained engine, :meth:`SweepRuntime.chunk_batch_range` and
-:meth:`SweepRuntime.chunk_sharded_range` for the batch and sharded
-engines.
+for the chained engine, :meth:`SweepRuntime.chunk_batch_range` for the
+batch engine, and :meth:`ShmSweepRuntime.chunk_sharded_range` for the
+sharded engine, which only the shm arena runs.
 
 Two implementations cover the four backends:
 
@@ -28,7 +28,8 @@ Two implementations cover the four backends:
 * :class:`ShmSweepRuntime` — the ``shm`` backend over
   :class:`repro.parallel.shm_sweep.ShmArena`: one resident ``T x n``
   shared block plus ``T`` resident worker processes, nothing but range
-  tuples crossing a queue; batch and sharded engines only.
+  tuples crossing a queue; batch and sharded engines only, and the only
+  runtime that runs the sharded engine.
 
 Every runtime reports a chunk's cost through its ``tracer`` as
 ``runtime:spawn`` / ``runtime:copy`` / ``runtime:compute`` /
@@ -40,7 +41,7 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -51,9 +52,8 @@ from repro.errors import ParameterError
 from repro.obs import NULL_TRACER
 from repro.fast.batch_sweep import batch_components, batch_join_rows
 from repro.parallel.merge_arrays import hierarchical_merge
-from repro.parallel.partitioner import ShardedPartition, strided_partition
+from repro.parallel.partitioner import strided_partition
 from repro.parallel.pool import ExecutionBackend, SerialBackend, get_backend
-from repro.parallel.sharded_sweep import ShardTask, sharded_components, solve_shard
 from repro.parallel.shm_sweep import ShmArena
 
 __all__ = [
@@ -89,23 +89,6 @@ class SweepRuntime:
         self._pairs: Optional[Tuple[np.ndarray, np.ndarray]] = None
         self._pairs_file: Optional[PairFileSpec] = None
         self._pairs_token = 0
-        # Vertex-ownership maps for the sharded engine, one per array
-        # length seen (in practice one per sweep).
-        self._shard_parts: Dict[int, ShardedPartition] = {}
-
-    def _shard_partition(self, n: int) -> ShardedPartition:
-        """The contiguous ownership map this runtime shards ``C`` by.
-
-        One shard per worker (clamped to ``n``); cached per array
-        length.  Results are shard-count-invariant, so the worker count
-        only decides the fan-out width.
-        """
-        part = self._shard_parts.get(n)
-        if part is None:
-            workers = max(1, getattr(self, "num_workers", 1))
-            part = ShardedPartition.build(n, workers)
-            self._shard_parts[n] = part
-        return part
 
     def start(self) -> "SweepRuntime":
         """Create worker state eagerly; returns self."""
@@ -210,31 +193,6 @@ class SweepRuntime:
         self.tracer.record("runtime:compute", time.perf_counter() - t0, workers=1)
         return after
 
-    def chunk_sharded_range(
-        self, labels: np.ndarray, start: int, stop: int
-    ) -> np.ndarray:
-        """Sharded-engine counterpart of :meth:`chunk_batch_range`.
-
-        Splits the window's live root pairs by contiguous vertex
-        ownership, contracts each shard locally, and reconciles the
-        deduplicated boundary pairs
-        (:func:`repro.parallel.sharded_sweep.sharded_components`).
-        Returns the fully compressed labels of the join, the same
-        contract as :meth:`chunk_batch_range`.  This baseline solves the
-        shards sequentially in process; subclasses fan the shard tasks
-        out to workers.
-        """
-        i1, i2 = self._require_pairs(start, stop)
-        if start == stop:
-            return labels
-        part = self._shard_partition(len(labels))
-        t0 = time.perf_counter()
-        merged, _stats = sharded_components(
-            labels, i1[start:stop], i2[start:stop], part, tracer=self.tracer
-        )
-        self.tracer.record("runtime:compute", time.perf_counter() - t0, workers=1)
-        return merged
-
     def __repr__(self) -> str:
         return f"{type(self).__name__}(backend={self.name!r})"
 
@@ -296,23 +254,6 @@ def _batch_file_worker(
     """File-backed variant of :func:`_batch_worker`."""
     i1, i2 = _file_pair_columns(spec)
     return _batch_worker(labels, i1[start:stop:step], i2[start:stop:step])
-
-
-def _shard_local_worker(
-    width: int, a: np.ndarray, b: np.ndarray
-) -> Tuple[np.ndarray, float]:
-    """Sharded-engine worker: contract one owned slice's intra pairs.
-
-    Receives only the shard's width and its local-coordinate pairs —
-    no slice of array ``C`` crosses to the worker at all (the owned
-    slice's state is fully determined by an identity relabel plus
-    these pairs; see :func:`repro.parallel.sharded_sweep.solve_shard`).
-    Returns the local labels and the worker-side seconds for the
-    ``sweep:shard[s]`` span.
-    """
-    t0 = time.perf_counter()
-    local = solve_shard(width, a, b)
-    return local, time.perf_counter() - t0
 
 
 class LocalSweepRuntime(SweepRuntime):
@@ -459,55 +400,6 @@ class LocalSweepRuntime(SweepRuntime):
         joined = batch_join_rows(list(rows), tracer=tracer)
         tracer.record("runtime:merge", time.perf_counter() - t2)
         return joined
-
-    def chunk_sharded_range(
-        self, labels: np.ndarray, start: int, stop: int
-    ) -> np.ndarray:
-        """Sharded engine over the pool: owner-computes shard tasks.
-
-        Classification and boundary reconciliation run on the host
-        (cheap vectorized passes); the per-shard local contractions fan
-        out over the pool as ``(width, local pairs)`` tasks.  Unlike
-        :meth:`chunk_batch_range`, no worker ever receives (or returns)
-        an n-sized array: task payloads and results are shard-width
-        bounded, which is what drops the process backend's pickling
-        traffic and every backend's resident footprint by ~T×.
-        """
-        i1, i2 = self._require_pairs(start, stop)
-        if start == stop:
-            return labels
-        tracer = self.tracer
-        part = self._shard_partition(len(labels))
-        compute_cell = [0.0]
-        busy_cell = [0]
-
-        def solver(tasks: Sequence[ShardTask]) -> List[Tuple[np.ndarray, float]]:
-            self.start()
-            t0 = time.perf_counter()
-            results = self.backend.map(
-                _shard_local_worker,
-                [(t.hi - t.lo, t.a - t.lo, t.b - t.lo) for t in tasks],
-            )
-            compute_cell[0] += time.perf_counter() - t0
-            busy_cell[0] = len(tasks)
-            return list(results)
-
-        t0 = time.perf_counter()
-        merged, _stats = sharded_components(
-            labels,
-            i1[start:stop],
-            i2[start:stop],
-            part,
-            tracer=tracer,
-            shard_solver=solver,
-        )
-        t1 = time.perf_counter()
-        if busy_cell[0]:
-            tracer.record("runtime:compute", compute_cell[0], workers=busy_cell[0])
-        # Host-side classification, reconciliation, and relabel
-        # composition are the combine step.
-        tracer.record("runtime:merge", max(0.0, (t1 - t0) - compute_cell[0]))
-        return merged
 
     def __repr__(self) -> str:
         return (

@@ -37,20 +37,26 @@ arXiv:2306.16354): shards run local merge rounds independently and only
 the much smaller boundary set crosses shards per epoch.  Every level is
 reconciled in full, so every level is exact.
 
-Tracing: each shard's local contraction is recorded as a
-``sweep:shard[s]`` span (externally timed, so parallel drivers report
-true worker seconds), the boundary contraction as ``sweep:reconcile``;
-``boundary_edges`` counts deduplicated cross-shard cluster pairs,
-``reconcile_rounds`` the host contraction rounds, and the
-``shard_bytes`` gauge the widest owned slice in bytes — the per-worker
-resident C footprint.
+The engine runs on the shm arena
+(:meth:`repro.parallel.shm_sweep.ShmArena.chunk_sharded_range`), which
+sends phase 2 to its resident workers and runs phases 1 and 3 with the
+helpers below.  :func:`sharded_components` is the same level in
+process: the arena's one-worker fallback and the reference its tests
+compare against.
+
+Tracing (:func:`sharded_components`): each shard's local contraction is
+recorded as a ``sweep:shard[s]`` span, the boundary contraction as
+``sweep:reconcile``; ``boundary_edges`` counts deduplicated cross-shard
+cluster pairs, ``reconcile_rounds`` the host contraction rounds, and
+the ``shard_bytes`` gauge the widest owned slice in bytes — the
+per-worker resident C footprint.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from time import perf_counter
-from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -60,33 +66,12 @@ from repro.obs import as_tracer
 from repro.parallel.partitioner import ShardedPartition
 
 __all__ = [
-    "ShardTask",
     "ShardedChunkStats",
     "solve_shard",
     "reconcile_labels",
     "apply_relabels",
     "dedupe_root_pairs",
     "sharded_components",
-]
-
-
-class ShardTask(NamedTuple):
-    """One shard's local work for a level: contract ``(a, b)`` pairs.
-
-    ``a``/``b`` hold *global* root ids, all within the owned range
-    ``[lo, hi)``; solvers shift them to local coordinates.
-    """
-
-    shard: int
-    lo: int
-    hi: int
-    a: np.ndarray
-    b: np.ndarray
-
-
-# A solver runs every task and returns (local labels, seconds) per task.
-ShardSolver = Callable[
-    [Sequence[ShardTask]], List[Tuple[np.ndarray, float]]
 ]
 
 
@@ -187,16 +172,14 @@ def sharded_components(
     i2: np.ndarray,
     part: ShardedPartition,
     tracer=None,
-    shard_solver: Optional[ShardSolver] = None,
 ) -> Tuple[np.ndarray, ShardedChunkStats]:
     """One sharded level: ``labels`` + edge pairs → compressed labels.
 
     Returns ``(merged, stats)``.  ``merged`` is the fully compressed
     join — bitwise equal to
     :func:`~repro.fast.batch_sweep.batch_components` over the same
-    inputs.  ``shard_solver`` lets parallel runtimes fan the
-    :class:`ShardTask` list out to owner workers; by default shards are
-    solved sequentially in process.  Neither input array is mutated.
+    inputs.  Shards are solved one after another in process.  Neither
+    input array is mutated.
     """
     tracer = as_tracer(tracer)
     lab = compress_labels(labels)
@@ -227,40 +210,27 @@ def sharded_components(
     tracer.gauge("shard_bytes", part.max_width * 8)
 
     cls = part.classify(a, b)
-    tasks: List[ShardTask] = []
+    # rho: per-level relabel of cluster roots, identity where untouched.
+    rho = np.arange(part.n, dtype=np.int64)
+    shards_busy = 0
     for shard in range(part.num_shards):
         seg_start = int(cls.segments[shard])
         seg_stop = int(cls.segments[shard + 1])
         if seg_start == seg_stop:
             continue
-        tasks.append(
-            ShardTask(
-                shard=shard,
-                lo=part.bounds[shard],
-                hi=part.bounds[shard + 1],
-                a=cls.intra_a[seg_start:seg_stop],
-                b=cls.intra_b[seg_start:seg_stop],
-            )
+        shards_busy += 1
+        lo = part.bounds[shard]
+        hi = part.bounds[shard + 1]
+        t0 = perf_counter()
+        local = solve_shard(
+            hi - lo,
+            cls.intra_a[seg_start:seg_stop] - lo,
+            cls.intra_b[seg_start:seg_stop] - lo,
         )
-
-    # rho: per-level relabel of cluster roots, identity where untouched.
-    rho = np.arange(part.n, dtype=np.int64)
-    if tasks:
-        if shard_solver is None:
-            results: List[Tuple[np.ndarray, float]] = []
-            for task in tasks:
-                t0 = perf_counter()
-                local = solve_shard(
-                    task.hi - task.lo, task.a - task.lo, task.b - task.lo
-                )
-                results.append((local, perf_counter() - t0))
-        else:
-            results = shard_solver(tasks)
-        for task, (local, seconds) in zip(tasks, results):
-            rho[task.lo : task.hi] = local + task.lo
-            tracer.record(
-                f"sweep:shard[{task.shard}]", seconds, edges=int(task.a.size)
-            )
+        tracer.record(
+            f"sweep:shard[{shard}]", perf_counter() - t0, edges=seg_stop - seg_start
+        )
+        rho[lo:hi] = local + lo
 
     boundary_edges = 0
     rounds = 0
@@ -290,7 +260,7 @@ def sharded_components(
         intra_edges=int(cls.intra_a.size),
         boundary_edges=boundary_edges,
         reconcile_rounds=rounds,
-        shards_busy=len(tasks),
+        shards_busy=shards_busy,
     )
     return merged, stats
 

@@ -38,7 +38,7 @@ class TestFig5Workload:
         # engines without further setup.
         work = fig5_workload(TINY.alphas[0], TINY)
         result = coarse_sweep(
-            work.graph, work.cols, params=work.params, engine="sharded"
+            work.graph, work.cols, params=work.params, engine="batch"
         )
         assert result.num_levels > 0
 

@@ -81,8 +81,16 @@ class TestBatchEngineSerial:
         assert all(raw[i] <= i for i in range(len(raw)))
         assert result.chain.num_clusters() == len(set(result.chain.labels()))
 
-    @pytest.mark.parametrize("engine", ["batch", "sharded"])
-    @pytest.mark.parametrize("backend", [None, "thread", "shm"])
+    @pytest.mark.parametrize(
+        "backend, engine",
+        [
+            pytest.param(backend, engine, id=f"{backend}-{engine}")
+            for backend in (None, "thread", "shm")
+            for engine in ("batch", "sharded")
+            # The sharded engine runs on the shm arena only.
+            if engine == "batch" or backend == "shm"
+        ],
+    )
     def test_label_state_builds_one_chain_array(
         self, planted, monkeypatch, engine, backend
     ):

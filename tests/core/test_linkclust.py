@@ -317,7 +317,10 @@ class TestShardedEngineRuns:
             config=RunConfig(coarse=True, pairs_format="columnar"),
         ).run()
         sharded = LinkClustering(
-            weighted_caveman, config=RunConfig(coarse=True, engine="sharded")
+            weighted_caveman,
+            config=RunConfig(
+                coarse=True, engine="sharded", backend="shm", num_workers=2
+            ),
         ).run()
         assert sharded.pairs_format == "columnar"
         assert chained.num_levels == sharded.num_levels
@@ -327,7 +330,7 @@ class TestShardedEngineRuns:
                 sharded.dendrogram.labels_at_level(level),
             )
 
-    @pytest.mark.parametrize("backend", ["thread", "shm"])
+    @pytest.mark.parametrize("backend", ["shm"])
     def test_parallel_sharded_matches_serial_chained(self, planted, backend):
         from repro.core.config import RunConfig
 
@@ -344,7 +347,10 @@ class TestShardedEngineRuns:
         from repro.core.config import RunConfig
 
         result = LinkClustering(
-            triangle, config=RunConfig(coarse=True, engine="sharded")
+            triangle,
+            config=RunConfig(
+                coarse=True, engine="sharded", backend="shm", num_workers=2
+            ),
         ).run()
         assert result.config.engine == "sharded"
         assert result.to_dict()["config"]["engine"] == "sharded"
@@ -352,7 +358,9 @@ class TestShardedEngineRuns:
     def test_config_round_trips_engine(self):
         from repro.core.config import RunConfig
 
-        config = RunConfig(coarse=True, engine="sharded")
+        config = RunConfig(
+            coarse=True, engine="sharded", backend="shm", num_workers=2
+        )
         assert RunConfig.from_dict(config.to_dict()) == config
 
     def test_sharded_requires_coarse(self, triangle):

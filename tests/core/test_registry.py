@@ -4,11 +4,9 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.coarse import CoarseParams, coarse_sweep
 from repro.core.config import RunConfig
 from repro.core.registry import (
-    BackendSpec,
-    EngineSpec,
-    PairFormatSpec,
     backend_names,
     engine_names,
     get_backend,
@@ -16,12 +14,11 @@ from repro.core.registry import (
     get_pair_format,
     make_runtime,
     pair_format_names,
-    register_backend,
-    register_engine,
-    register_pair_format,
     validate_run_settings,
 )
 from repro.errors import ParameterError
+from repro.graph import generators
+from repro.parallel.par_sweep import parallel_coarse_sweep
 from repro.parallel.runtime import SweepRuntime
 
 
@@ -41,9 +38,11 @@ class TestBuiltinTable:
         for name in ("thread", "process", "shm"):
             assert get_backend(name).parallel
         for name in ("serial", "thread", "process"):
-            assert get_backend(name).engines == engine_names()
-        # The shared-memory arena has no chained MERGE path.
+            assert get_backend(name).engines == ("chained", "batch")
+        # The shared-memory arena has no chained MERGE path, and it is
+        # the only backend that runs the sharded engine.
         assert get_backend("shm").engines == ("batch", "sharded")
+        assert get_engine("sharded").min_workers == 2
 
     def test_pair_format_capabilities(self):
         assert not get_pair_format("columnar").requires_coarse
@@ -99,6 +98,30 @@ class TestValidation:
         )
         with pytest.raises(ParameterError, match="does not run on backend='shm'"):
             RunConfig(coarse=True, engine="chained", backend="shm", num_workers=2)
+        # The sharded engine runs only on the arena, with two or more
+        # workers (a one-worker run takes the serial sweep).
+        for backend in ("serial", "thread", "process"):
+            for workers in (1, 2):
+                with pytest.raises(
+                    ParameterError,
+                    match=rf"'sharded' does not run on backend='{backend}'",
+                ):
+                    RunConfig(
+                        coarse=True, engine="sharded", backend=backend,
+                        num_workers=workers,
+                    )
+        with pytest.raises(ParameterError, match=r"'sharded' needs num_workers >= 2"):
+            RunConfig(coarse=True, engine="sharded", backend="shm", num_workers=1)
+        RunConfig(coarse=True, engine="sharded", backend="shm", num_workers=2)
+        # The drivers check the same table: the serial sweeper has no
+        # sharded path, and a pool runtime none either.
+        triangle = generators.complete_graph(3)
+        with pytest.raises(ParameterError, match="backend='serial'"):
+            coarse_sweep(triangle, params=CoarseParams(), engine="sharded")
+        with pytest.raises(ParameterError, match="backend='thread'"):
+            parallel_coarse_sweep(
+                triangle, num_workers=2, backend="thread", engine="sharded"
+            )
 
     def test_epsilon_is_an_unknown_config_key(self):
         with pytest.raises(ParameterError, match="unknown RunConfig keys.*epsilon"):
@@ -162,13 +185,3 @@ class TestFactories:
     def test_make_runtime_rejects_unknown_backend(self):
         with pytest.raises(ParameterError, match="backend must be one of"):
             make_runtime("gpu", 2)
-
-
-class TestRegistration:
-    def test_duplicate_names_rejected(self):
-        with pytest.raises(ParameterError, match="already registered"):
-            register_engine(EngineSpec(name="chained", summary="dup"))
-        with pytest.raises(ParameterError, match="already registered"):
-            register_backend(BackendSpec(name="thread", summary="dup"))
-        with pytest.raises(ParameterError, match="already registered"):
-            register_pair_format(PairFormatSpec(name="columnar", summary="dup"))

@@ -34,7 +34,7 @@ def _oracle(graph):
 
 
 @pytest.mark.parametrize("graph_name", sorted(GRAPHS))
-@pytest.mark.parametrize("engine", ["chained", "batch", "sharded"])
+@pytest.mark.parametrize("engine", get_backend("serial").engines)
 def test_serial_mmap_identity(graph_name, engine):
     graph = GRAPHS[graph_name]()
     oracle = _oracle(graph)

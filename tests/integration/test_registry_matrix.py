@@ -196,8 +196,8 @@ def test_every_engine_and_backend_has_a_cell():
 
 
 def test_cell_counts():
-    # Coarse: chained on serial/thread/process, batch and sharded on all
-    # four backends, each with the columnar and mmap formats.  Fine:
-    # columnar only (mmap needs a coarse sweep).
-    assert len(COARSE_CELLS) == 22
+    # Coarse: chained on serial/thread/process, batch on all four
+    # backends, sharded on shm only, each with the columnar and mmap
+    # formats.  Fine: columnar only (mmap needs a coarse sweep).
+    assert len(COARSE_CELLS) == 16
     assert len(FINE_CELLS) == 1

@@ -32,6 +32,15 @@ class TestParallelCoarseSweep:
         match = r"engine='chained'.*'batch', 'sharded'"
         with pytest.raises(ParameterError, match=match):
             parallel_coarse_sweep(triangle, num_workers=2, backend="shm")
+        # The sharded engine runs on the arena only.
+        for backend in ("serial", "thread", "process"):
+            with pytest.raises(
+                ParameterError,
+                match=rf"engine='sharded' does not run on backend='{backend}'",
+            ):
+                parallel_coarse_sweep(
+                    triangle, num_workers=2, backend=backend, engine="sharded"
+                )
         # A caller-owned runtime is checked by its backend name: a named
         # error, not an AttributeError from a missing chained path.
         with ShmSweepRuntime(2) as runtime:
@@ -258,20 +267,20 @@ def test_property_parallel_equals_serial_coarse(n, p, seed, workers, delta0):
 
 
 class TestShardedEngineParallel:
-    """engine="sharded" through every parallel backend must stay
-    dendrogram-identical to the chained oracle: same per-level labels,
-    same epoch trace (chunk boundaries depend only on pair counts)."""
+    """engine="sharded" on the shm arena (the one backend that runs it)
+    must stay dendrogram-identical to the chained oracle: same per-level
+    labels, same epoch trace (chunk boundaries depend only on pair
+    counts)."""
 
     PARAMS = CoarseParams(phi=2, delta0=8)
 
-    @pytest.mark.parametrize("backend", ["serial", "thread", "process", "shm"])
+    @pytest.mark.parametrize("backend", ["shm"])
     def test_levels_match_chained(self, planted, backend):
         sim = compute_similarity_map(planted)
         # The shm arena runs no chained engine; its reference is the
         # chained parallel sweep on the serial backend.
         chained = parallel_coarse_sweep(
-            planted, sim, self.PARAMS, num_workers=3,
-            backend="serial" if backend == "shm" else backend,
+            planted, sim, self.PARAMS, num_workers=3, backend="serial",
             engine="chained",
         )
         sharded = parallel_coarse_sweep(
@@ -287,7 +296,7 @@ class TestShardedEngineParallel:
             (e.kind, e.level, e.xi, e.p) for e in sharded.epochs
         ]
 
-    @pytest.mark.parametrize("backend", ["thread", "shm"])
+    @pytest.mark.parametrize("backend", ["shm"])
     def test_merges_match_batch(self, planted, backend):
         # Both engines record by partition diff, so the merge streams
         # are bitwise comparable.
@@ -308,7 +317,7 @@ class TestShardedEngineParallel:
         sim = compute_similarity_map(g)
         serial = coarse_sweep(g, sim, self.PARAMS)
         sharded = parallel_coarse_sweep(
-            g, sim, self.PARAMS, num_workers=4, backend="thread",
+            g, sim, self.PARAMS, num_workers=2, backend="shm",
             engine="sharded",
         )
         for level in range(serial.num_levels + 1):
@@ -318,21 +327,22 @@ class TestShardedEngineParallel:
             )
 
     def test_more_workers_than_edges(self, triangle):
-        # K3 has 3 edges: 8 workers means more shards than C slots, so
+        # K3 has 3 edges: 4 workers means more shards than C slots, so
         # the ownership map clamps and every pair is boundary.
         sim = compute_similarity_map(triangle)
         serial = coarse_sweep(triangle, sim, CoarseParams(phi=1, delta0=2))
         sharded = parallel_coarse_sweep(
             triangle, sim, CoarseParams(phi=1, delta0=2),
-            num_workers=8, backend="thread", engine="sharded",
+            num_workers=4, backend="shm", engine="sharded",
         )
         assert same_partition(serial.edge_labels(), sharded.edge_labels())
 
     def test_single_worker(self, planted):
+        # A one-worker arena runs each level in process (its fallback).
         sim = compute_similarity_map(planted)
         serial = coarse_sweep(planted, sim, self.PARAMS)
         sharded = parallel_coarse_sweep(
-            planted, sim, self.PARAMS, num_workers=1, backend="thread",
+            planted, sim, self.PARAMS, num_workers=1, backend="shm",
             engine="sharded",
         )
         assert same_partition(serial.edge_labels(), sharded.edge_labels())
@@ -360,6 +370,6 @@ def test_property_sharded_parallel_equals_chained_parallel(
         g, sim, params, num_workers=workers, backend="thread", engine="chained"
     )
     sharded = parallel_coarse_sweep(
-        g, sim, params, num_workers=workers, backend="thread", engine="sharded"
+        g, sim, params, num_workers=workers, backend="shm", engine="sharded"
     )
     assert chained.dendrogram.merges == sharded.dendrogram.merges

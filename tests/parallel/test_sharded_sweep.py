@@ -1,9 +1,11 @@
 """Unit tests for the vertex-sharded sweep kernels.
 
 ``sharded_components`` must be bitwise-equal to ``batch_components``
-over the same inputs for *every* shard count — the owner-computes
-decomposition (intra-first, boundary-second) is a pure refactoring of
-the per-level contraction.  The helpers (``solve_shard``,
+over the same inputs for *every* shard count, from one shard to more
+shards than items, and from identity or partly merged base labels (a
+sweep's later levels) — the owner-computes decomposition (intra-first,
+boundary-second) is a pure refactoring of the per-level contraction.
+The helpers (``solve_shard``,
 ``reconcile_labels``, ``apply_relabels``, ``dedupe_root_pairs``) are
 checked in isolation, and the classic shard edge cases — pure-boundary
 levels, zero-intra shards, single-vertex shards, more shards than
@@ -24,7 +26,6 @@ from repro.fast.batch_sweep import batch_components
 from repro.obs import MemorySink, Tracer
 from repro.parallel.partitioner import ShardedPartition
 from repro.parallel.sharded_sweep import (
-    ShardTask,
     apply_relabels,
     dedupe_root_pairs,
     reconcile_labels,
@@ -165,7 +166,10 @@ class TestShardedComponents:
     @pytest.mark.parametrize(
         "num_shards, n, m, seed",
         [pytest.param(k, 40, 70, k, id=str(k)) for k in (1, 2, 3, 5, 8)]
-        + [pytest.param(4, 35, 50, 11, id="n35-4")],
+        + [pytest.param(4, 35, 50, 11, id="n35-4")]
+        # Every shard count over one small domain, up to more shards
+        # than items (build() clamps to one item per shard).
+        + [pytest.param(k, 7, 9, 30 + k, id=f"n7-{k}") for k in range(1, 9)],
     )
     def test_matches_batch_components(self, num_shards, n, m, seed):
         i1, i2 = random_edges(n, m, seed=seed)
@@ -251,31 +255,6 @@ class TestShardedComponents:
         _, stats = exact_merged(labels, i1, i2, 2)
         assert stats.boundary_edges == 1
 
-    def test_custom_shard_solver_used(self):
-        n = 20
-        i1, i2 = random_edges(n, 30, seed=9)
-        labels = np.arange(n, dtype=np.int64)
-        part = ShardedPartition.build(n, 4)
-        seen = []
-
-        def solver(tasks):
-            seen.extend(tasks)
-            return [
-                (solve_shard(t.hi - t.lo, t.a - t.lo, t.b - t.lo), 0.0)
-                for t in tasks
-            ]
-
-        merged, stats = sharded_components(
-            labels, i1, i2, part, shard_solver=solver
-        )
-        assert np.array_equal(merged, batch_components(labels, i1, i2))
-        assert len(seen) == stats.shards_busy > 0
-        assert all(isinstance(t, ShardTask) for t in seen)
-        # Intra pairs really live inside each task's owned range.
-        for t in seen:
-            assert (t.a >= t.lo).all() and (t.a < t.hi).all()
-            assert (t.b >= t.lo).all() and (t.b < t.hi).all()
-
     def test_inputs_not_mutated(self):
         labels = np.array([0, 1, 2, 3, 4, 5], dtype=np.int64)
         i1 = np.array([0, 4], dtype=np.int64)
@@ -342,10 +321,17 @@ class TestShardedComponents:
     m=st.integers(0, 120),
     seed=st.integers(0, 1000),
     shards=st.integers(1, 12),
+    merged_first=st.integers(0, 40),
 )
-def test_property_sharded_equals_batch(n, m, seed, shards):
+def test_property_sharded_equals_batch(n, m, seed, shards, merged_first):
     i1, i2 = random_edges(n, m, seed)
-    labels = np.arange(n, dtype=np.int64)
+    # The first ``merged_first`` pairs are an earlier level's: the level
+    # under test starts from their partition, as a sweep's levels do.
+    labels = batch_components(
+        np.arange(n, dtype=np.int64), i1[:merged_first], i2[:merged_first]
+    )
+    i1 = i1[merged_first:]
+    i2 = i2[merged_first:]
     expect = batch_components(labels, i1, i2)
     merged, _ = exact_merged(labels, i1, i2, shards)
     assert np.array_equal(merged, expect)

@@ -127,6 +127,20 @@ class TestErrors:
         config = {"backend": "shm", "num_workers": 2, "coarse": True}
         with pytest.raises(ServeError, match="400.*engine='chained'.*batch"):
             client.submit(edges=EDGES, config=config)
+        # The sharded engine runs on the arena only, with two or more
+        # workers.
+        for backend, workers, message in (
+            ("serial", 1, "does not run on backend='serial'"),
+            ("thread", 2, "does not run on backend='thread'"),
+            ("process", 2, "does not run on backend='process'"),
+            ("shm", 1, "needs num_workers >= 2"),
+        ):
+            config = {
+                "backend": backend, "num_workers": workers, "coarse": True,
+                "engine": "sharded",
+            }
+            with pytest.raises(ServeError, match=f"400.*engine='sharded' {message}"):
+                client.submit(edges=EDGES, config=config)
 
     def test_epsilon_key_is_400(self, client):
         config = {"coarse": True, "engine": "sharded", "epsilon": 0.5}

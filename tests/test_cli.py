@@ -136,6 +136,7 @@ class TestCluster:
             [
                 "cluster", str(graph_file), "--int-labels",
                 "--coarse", "--engine", "sharded",
+                "--backend", "shm", "--workers", "2",
             ]
         )
         assert code == 0
@@ -150,7 +151,7 @@ class TestCluster:
             [
                 "cluster", str(graph_file), "--int-labels",
                 "--coarse", "--engine", "sharded",
-                "--backend", "thread", "--workers", "2",
+                "--backend", "shm", "--workers", "2",
             ]
         ) == 0
         sharded_out = capsys.readouterr().out
@@ -189,6 +190,22 @@ class TestCluster:
         assert code == 2
         err = capsys.readouterr().err
         assert "engine='chained'" in err and "'batch', 'sharded'" in err
+        # The sharded engine needs the arena and two or more workers.
+        for backend, workers, message in (
+            ("serial", "1", "engine='sharded' does not run on backend='serial'"),
+            ("thread", "2", "engine='sharded' does not run on backend='thread'"),
+            ("process", "2", "engine='sharded' does not run on backend='process'"),
+            ("shm", "1", "engine='sharded' needs num_workers >= 2"),
+        ):
+            code = main(
+                [
+                    "cluster", str(graph_file), "--int-labels", "--coarse",
+                    "--engine", "sharded", "--backend", backend,
+                    "--workers", workers,
+                ]
+            )
+            assert code == 2
+            assert message in capsys.readouterr().err
 
     def test_sharded_engine_without_coarse_rejected(self, graph_file, capsys):
         code = main(
