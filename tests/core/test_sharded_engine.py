@@ -12,12 +12,15 @@ kernel itself is tested in ``tests/parallel/test_sharded_sweep.py``.
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster.validation import same_partition
 from repro.core.coarse import CoarseParams, coarse_sweep
 from repro.core.simcolumns import SimilarityColumns
 from repro.core.similarity import compute_similarity_map
 from repro.core.sweep import sweep
+from repro.graph import generators
 from repro.parallel.par_sweep import parallel_coarse_sweep
 from repro.parallel.runtime import ShmSweepRuntime
 
@@ -95,3 +98,20 @@ class TestShardedEngineSerial:
         raw = result.chain.raw()
         assert all(raw[i] <= i for i in range(len(raw)))
         assert result.chain.num_clusters() == len(set(result.chain.labels()))
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    n=st.integers(5, 12),
+    p=st.floats(0.3, 0.9),
+    seed=st.integers(0, 200),
+    delta0=st.integers(1, 20),
+    phi=st.integers(1, 4),
+)
+def test_property_sharded_equals_chained(arena, n, p, seed, delta0, phi):
+    g = generators.erdos_renyi(
+        n, p, seed=seed, weight=generators.random_weights(seed=seed)
+    )
+    if g.num_edges < 2:
+        return
+    assert_engines_agree(arena, g, CoarseParams(phi=phi, delta0=delta0))
