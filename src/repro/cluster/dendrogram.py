@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import count, repeat
 from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -229,6 +229,35 @@ class DendrogramBuilder:
         lefts = parents.tolist()
         fields = zip(repeat(level), lefts, children.tolist(), lefts, repeat(None))
         self._merges.extend(map(_new_record, repeat(Merge), fields))
+
+    def record_run(
+        self,
+        first_level: int,
+        records: Sequence[Tuple[int, int, int, int]],
+        similarities: Sequence[float],
+    ) -> None:
+        """Record a run of ``merge_run`` records, one level per merge.
+
+        ``records`` are :meth:`~repro.cluster.unionfind.LabelForest.merge_run`
+        tuples ``(w, left, right, parent)``; record ``k`` becomes
+        ``left, right -> parent`` at level ``first_level + k`` with
+        ``similarities[k]``.  Parents are checked once for the whole run
+        before anything is recorded.
+        """
+        if len(records) != len(similarities):
+            raise ClusteringError(
+                "record_run needs one similarity per record, got "
+                f"{len(similarities)} for {len(records)}"
+            )
+        for level, (_, left, right, parent) in zip(count(first_level), records):
+            if parent != (left if left < right else right):
+                raise _bad_parent(level, left, right, parent)
+        self._merges += [
+            _new_record(Merge, (level, left, right, parent, similarity))
+            for level, (_, left, right, parent), similarity in zip(
+                count(first_level), records, similarities
+            )
+        ]
 
     @property
     def num_merges(self) -> int:

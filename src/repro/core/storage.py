@@ -32,7 +32,9 @@ files:
   (columns without carried edge ids resolve them a window at a time).
 * :meth:`MmapPairStore.build_streaming` starts from the *graph* and
   never holds a K2-sized array: wedges are enumerated in budget-bounded
-  centre chunks, spilled as pair-rank-sorted runs, and merged
+  centre chunks, once to merge each chunk's sorted unique pair keys into
+  the global ``(u, v)`` table (Sweep A), then again to be spilled as
+  pair-rank-sorted runs (Sweep B), and merged
   group-aligned into a ``(u, v)``-grouped temp file — each pair's dot
   product is one ``np.add.reduceat`` over its contiguous wedge slice,
   which reproduces the oracle's pairwise summation bit for bit
@@ -54,21 +56,24 @@ picklable, so parallel runtimes ship it to workers which map the file
 directly — zero-copy page-cache sharing in place of a second shared
 memory block and its per-run publish copy.
 
-Observability: the streaming build emits one ``storage:spill`` span per
-wedge run (``spill_runs`` / ``bytes_spilled`` counters) and one
-``storage:merge`` span; every bounded window fetch is a
-``storage:window`` span (``window_loads`` counter); both stores gauge
-``store_bytes``.  An :class:`OSError` while a build writes (a full disk,
+Observability: the streaming build emits one ``storage:pairs`` span for
+Sweep A, one ``storage:spill`` span per wedge run (``spill_runs`` /
+``bytes_spilled`` counters) and one ``storage:merge`` span; every
+bounded window fetch is a ``storage:window`` span (``window_loads``
+counter); both stores gauge ``store_bytes``.  An :class:`OSError` while a build writes (a full disk,
 say) surfaces as :class:`~repro.errors.StorageError` naming the spill
-directory, which is removed first.
+directory, which is removed first; mapping a ``pairs.bin`` shorter than
+its :class:`PairFileSpec` raises it naming the file.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import errno
 import os
 import shutil
 import tempfile
+import time
 from typing import Callable, Iterator, List, Optional, Tuple
 
 import numpy as np
@@ -180,34 +185,39 @@ class PairFileSpec:
         return (4 * self.k1 + 1 + 2 * self.k2) * _F8
 
     def open_sim(self) -> np.ndarray:
-        return _map_f64(self.path, self.sim_offset, self.k1)
+        return _map(self.path, np.float64, self.sim_offset, self.k1)
 
     def open_u(self) -> np.ndarray:
-        return _map_i64(self.path, self.u_offset, self.k1)
+        return _map(self.path, np.int64, self.u_offset, self.k1)
 
     def open_v(self) -> np.ndarray:
-        return _map_i64(self.path, self.v_offset, self.k1)
+        return _map(self.path, np.int64, self.v_offset, self.k1)
 
     def open_offsets(self) -> np.ndarray:
-        return _map_i64(self.path, self.offsets_offset, self.k1 + 1)
+        return _map(self.path, np.int64, self.offsets_offset, self.k1 + 1)
 
     def open_c1(self) -> np.ndarray:
-        return _map_i64(self.path, self.c1_offset, self.k2)
+        return _map(self.path, np.int64, self.c1_offset, self.k2)
 
     def open_c2(self) -> np.ndarray:
-        return _map_i64(self.path, self.c2_offset, self.k2)
+        return _map(self.path, np.int64, self.c2_offset, self.k2)
 
 
-def _map_i64(path: str, offset: int, count: int) -> np.ndarray:
+def _map(path: str, dtype, offset: int, count: int) -> np.ndarray:
+    """A read-only view of ``count`` elements at ``offset`` in ``path``.
+
+    A file too short for the view (truncated, or stale against its
+    spec) raises :class:`~repro.errors.StorageError` naming the path.
+    """
     if count == 0:
-        return np.empty(0, dtype=np.int64)
-    return np.memmap(path, dtype=np.int64, mode="r", offset=offset, shape=(count,))
-
-
-def _map_f64(path: str, offset: int, count: int) -> np.ndarray:
-    if count == 0:
-        return np.empty(0, dtype=np.float64)
-    return np.memmap(path, dtype=np.float64, mode="r", offset=offset, shape=(count,))
+        return np.empty(0, dtype=dtype)
+    size = os.path.getsize(path)
+    if size < offset + count * _F8:
+        raise StorageError(
+            f"pair file {path} is truncated: {size} bytes, section needs "
+            f"{offset + count * _F8}"
+        )
+    return np.memmap(path, dtype=dtype, mode="r", offset=offset, shape=(count,))
 
 
 class PairStore:
@@ -395,6 +405,64 @@ def _center_chunks(indptr: np.ndarray, budget: Optional[int]) -> List[List[int]]
     return chunks
 
 
+def _pair_table(
+    indptr: np.ndarray,
+    indices: np.ndarray,
+    weights: np.ndarray,
+    eids: np.ndarray,
+    chunks: List[List[int]],
+    n: int,
+    cancel: Optional[CancelToken],
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Sweep A: the sorted unique ``u * n + v`` pair keys, wedge counts.
+
+    Each chunk's keys are sorted and deduplicated, and the ones the
+    table lacks are inserted at their ``searchsorted`` slots: one linear
+    merge per chunk.  ``counts[i]`` is pair ``i``'s wedge count.  Both
+    are K1-sized, within the paper's O(K2 + |E|) bound.
+    """
+    from repro.fast.similarity import _wedge_columns
+
+    table = np.empty(0, dtype=np.int64)
+    counts = np.empty(0, dtype=np.int64)
+    for chunk in chunks:
+        if cancel is not None:
+            cancel.raise_if_cancelled()
+        w_u, w_v = _wedge_columns(indptr, indices, weights, eids, vertices=chunk)[:2]
+        keys = _pair_keys(w_u, w_v, n)
+        del w_u, w_v
+        # Sort and drop repeats in place; np.unique's hash pass is slower.
+        keys.sort()
+        starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+        sizes = np.diff(np.r_[starts, len(keys)])
+        keys = keys[starts]
+        slots = np.searchsorted(table, keys)
+        fresh = slots == len(table)
+        fresh[~fresh] = table[slots[~fresh]] != keys[~fresh]
+        table = np.insert(table, slots[fresh], keys[fresh])
+        counts = np.insert(counts, slots[fresh], 0)
+        # Each key moves up by the fresh keys inserted below it.
+        counts[slots + np.cumsum(fresh) - fresh] += sizes
+    return table, counts
+
+
+def _merge_bounds(offsets_uv: np.ndarray, budget: Optional[int]) -> np.ndarray:
+    """Pair-rank bounds of the merge windows.
+
+    Each window holds whole pairs and at most one budget of wedges, or
+    a single pair that alone exceeds it.
+    """
+    k1 = len(offsets_uv) - 1
+    window_elems = max(1024, _stream_records(budget))
+    bounds = [0]
+    while bounds[-1] < k1:
+        p0 = bounds[-1]
+        limit = int(offsets_uv[p0]) + window_elems
+        j = int(np.searchsorted(offsets_uv, limit, side="right"))
+        bounds.append(min(k1, max(p0 + 1, j - 1)))
+    return np.asarray(bounds, dtype=np.int64)
+
+
 def _spill_wedge_run(
     path: str,
     indptr: np.ndarray,
@@ -405,8 +473,8 @@ def _spill_wedge_run(
     table: np.ndarray,
     n: int,
     index_arr: np.ndarray,
-    counts: np.ndarray,
-) -> Optional["_WedgeRunReader"]:
+    bounds: np.ndarray,
+) -> Optional["_WedgeRun"]:
     """Enumerate one centre chunk and spill it as a rank-sorted run.
 
     Records are ``(rank, c1, c2, wprod)`` with ``rank`` the pair's index
@@ -414,8 +482,8 @@ def _spill_wedge_run(
     carried edge ids mapped into array ``C``.  ``chunk`` is ascending
     and the generator emits wedges centre by centre, so the stable sort
     by rank keeps each pair's wedges in ascending-centre order (the
-    oracle's).  ``counts`` accumulates per-pair wedge counts in place.
-    Returns ``None`` for wedge-free chunks.
+    oracle's).  The run notes where each merge window (``bounds``)
+    starts in it.  Returns ``None`` for wedge-free chunks.
     """
     from repro.fast.similarity import _wedge_columns
 
@@ -431,102 +499,50 @@ def _spill_wedge_run(
     c1 = index_arr[e_uk[order]]
     c2 = index_arr[e_vk[order]]
     w_prod = w_prod[order]
-    counts += np.bincount(rank, minlength=len(counts))
     with open(path, "wb") as handle:
         handle.write(rank.tobytes())
         handle.write(np.ascontiguousarray(c1, dtype=np.int64).tobytes())
         handle.write(np.ascontiguousarray(c2, dtype=np.int64).tobytes())
         handle.write(np.ascontiguousarray(w_prod, dtype=np.float64).tobytes())
-    return _WedgeRunReader(path, len(rank))
+    return _WedgeRun(path, len(rank), np.searchsorted(rank, bounds))
 
 
-class _WedgeRunReader:
-    """Sequential reader over one spilled wedge run (rank-sorted).
+class _WedgeRun:
+    """One spilled wedge run (rank-sorted) and its merge-window cuts.
 
-    Refills a bounded record buffer with plain ``read`` calls — the run
-    is never mapped, so merge-time residency stays at the buffer size.
+    ``cuts[j]`` is the first record of window ``j``.  Each window's
+    records are read with ``pread`` — the run is never mapped, so
+    merge-time residency stays at one window.
     """
 
-    def __init__(self, path: str, count: int, buffer_records: int = 1 << 14):
+    def __init__(self, path: str, count: int, cuts: np.ndarray):
         self.path = path
         self.count = count
-        self._handle = open(path, "rb")
-        self._buffer_records = buffer_records
+        self.cuts = cuts.tolist()
+        self._fd = os.open(path, os.O_RDONLY)
 
-    def set_buffer_records(self, buffer_records: int) -> None:
-        """Shrink/grow the refill size (buffers allocate lazily, so the
-        merge can split the budget across however many runs spilled)."""
-        self._buffer_records = max(1, buffer_records)
-        self._read = 0  # records fetched from disk
-        self._rank = np.empty(0, dtype=np.int64)
-        self._c1 = np.empty(0, dtype=np.int64)
-        self._c2 = np.empty(0, dtype=np.int64)
-        self._wp = np.empty(0, dtype=np.float64)
-        self._at = 0  # consumed prefix of the buffer
-
-    def _refill(self) -> bool:
-        take = min(self._buffer_records, self.count - self._read)
-        if take <= 0:
-            return False
-        base = self._read
-        handle = self._handle
-        handle.seek(base * _F8)
-        self._rank = np.frombuffer(handle.read(take * _F8), dtype=np.int64)
-        handle.seek((self.count + base) * _F8)
-        self._c1 = np.frombuffer(handle.read(take * _F8), dtype=np.int64)
-        handle.seek((2 * self.count + base) * _F8)
-        self._c2 = np.frombuffer(handle.read(take * _F8), dtype=np.int64)
-        handle.seek((3 * self.count + base) * _F8)
-        self._wp = np.frombuffer(handle.read(take * _F8), dtype=np.float64)
-        self._read += take
-        self._at = 0
-        return True
-
-    def pull(
-        self, rank_limit: int
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """All remaining records with ``rank < rank_limit`` (in order)."""
-        rank_parts: List[np.ndarray] = []
-        c1_parts: List[np.ndarray] = []
-        c2_parts: List[np.ndarray] = []
-        wp_parts: List[np.ndarray] = []
-        while True:
-            if self._at >= len(self._rank) and not self._refill():
-                break
-            stop = int(
-                np.searchsorted(self._rank[self._at :], rank_limit, side="left")
-            )
-            if stop > 0:
-                sl = slice(self._at, self._at + stop)
-                rank_parts.append(self._rank[sl])
-                c1_parts.append(self._c1[sl])
-                c2_parts.append(self._c2[sl])
-                wp_parts.append(self._wp[sl])
-                self._at += stop
-            if self._at < len(self._rank):
-                break  # next record is >= rank_limit
-        if not rank_parts:
-            empty_i = np.empty(0, dtype=np.int64)
-            return empty_i, empty_i, empty_i, np.empty(0, dtype=np.float64)
-        return (
-            np.concatenate(rank_parts),
-            np.concatenate(c1_parts),
-            np.concatenate(c2_parts),
-            np.concatenate(wp_parts),
-        )
+    def read(self, window: int) -> List[np.ndarray]:
+        """Window ``window``'s ``rank``, ``c1``, ``c2``, ``wprod``."""
+        lo, hi = self.cuts[window], self.cuts[window + 1]
+        sections = []
+        for s, dtype in enumerate((np.int64, np.int64, np.int64, np.float64)):
+            data = os.pread(self._fd, (hi - lo) * _F8, (s * self.count + lo) * _F8)
+            if len(data) != (hi - lo) * _F8:
+                raise OSError(errno.EIO, "short read from a wedge run", self.path)
+            sections.append(np.frombuffer(data, dtype=dtype))
+        return sections
 
     def close(self) -> None:
-        self._handle.close()
+        os.close(self._fd)
         if os.path.exists(self.path):
             os.unlink(self.path)
 
 
 def _merge_wedge_runs(
-    runs: List[_WedgeRunReader],
-    offsets_uv: np.ndarray,
+    runs: List[_WedgeRun],
+    bounds: np.ndarray,
     dots: np.ndarray,
     temp_path: str,
-    budget: Optional[int],
     cancel: Optional[CancelToken],
 ) -> None:
     """Merge rank-sorted runs into grouped order; reduce dots per pair.
@@ -539,35 +555,21 @@ def _merge_wedge_runs(
     the oracle's group sums).  The grouped ``(c1, c2)`` stream goes to
     ``temp_path`` interleaved, in pair-table order.
     """
-    k1 = len(dots)
-    window_elems = max(1024, _stream_records(budget))
     with open(temp_path, "wb") as temp:
-        p0 = 0
-        while p0 < k1:
+        for window, (p0, p1) in enumerate(zip(bounds[:-1], bounds[1:])):
             if cancel is not None:
                 cancel.raise_if_cancelled()
-            limit = int(offsets_uv[p0]) + window_elems
-            j = int(np.searchsorted(offsets_uv, limit, side="right"))
-            p1 = min(k1, max(p0 + 1, j - 1))
-            pulls = [run.pull(p1) for run in runs]
-            rank = np.concatenate([p[0] for p in pulls])
-            c1 = np.concatenate([p[1] for p in pulls])
-            c2 = np.concatenate([p[2] for p in pulls])
-            wp = np.concatenate([p[3] for p in pulls])
+            rank, c1, c2, wp = map(
+                np.concatenate, zip(*(run.read(window) for run in runs))
+            )
             order = np.argsort(rank, kind="stable")
-            rank = rank[order]
-            wp = wp[order]
-            change = np.empty(len(rank), dtype=bool)
-            if len(rank):
-                change[0] = True
-                change[1:] = rank[1:] != rank[:-1]
-                starts = np.flatnonzero(change)
-                dots[rank[starts]] = np.add.reduceat(wp, starts)
+            starts = np.flatnonzero(np.r_[True, np.diff(rank[order]) != 0])
+            # Every pair has a wedge, so the window's groups are p0..p1-1.
+            dots[p0:p1] = np.add.reduceat(wp[order], starts)
             interleaved = np.empty(2 * len(order), dtype=np.int64)
             interleaved[0::2] = c1[order]
             interleaved[1::2] = c2[order]
             temp.write(interleaved.tobytes())
-            p0 = p1
 
 
 def _interleaved_windows(
@@ -770,7 +772,6 @@ class MmapPairStore(PairStore):
             _csr_arrays,
             _h_arrays_columnar,
             _tanimoto,
-            _wedge_columns,
         )
 
         indptr, indices, weights, eids = _csr_arrays(graph)
@@ -778,18 +779,17 @@ class MmapPairStore(PairStore):
         n = max(1, graph.num_vertices)
         chunks = _center_chunks(indptr, budget)
 
-        # Sweep A: the global pair table (sorted packed u * n + v keys).
-        # K1-sized — within the paper's O(K2 + |E|) bound, K2-free.
-        table = np.empty(0, dtype=np.int64)
-        for chunk in chunks:
-            if cancel is not None:
-                cancel.raise_if_cancelled()
-            w_u, w_v = _wedge_columns(indptr, indices, weights, eids, vertices=chunk)[:2]
-            table = np.union1d(table, _pair_keys(w_u, w_v, n))
+        # Sweep A: the sorted pair table that ranks Sweep B's wedges.
+        t0 = time.perf_counter()
+        table, counts = _pair_table(indptr, indices, weights, eids, chunks, n, cancel)
         k1 = len(table)
-        spec = PairFileSpec(
-            path=os.path.join(spill_dir, "pairs.bin"), k1=k1, k2=0
+        tracer.record(
+            "storage:pairs", time.perf_counter() - t0, chunks=len(chunks), k1=k1
         )
+        offsets_uv = np.zeros(k1 + 1, dtype=np.int64)
+        np.cumsum(counts, out=offsets_uv[1:])
+        k2 = int(offsets_uv[-1])
+        spec = PairFileSpec(path=os.path.join(spill_dir, "pairs.bin"), k1=k1, k2=k2)
         if k1 == 0:
             with open(spec.path, "wb") as handle:
                 handle.write(np.zeros(1, dtype=np.int64).tobytes())
@@ -798,8 +798,8 @@ class MmapPairStore(PairStore):
         # Sweep B: spill one rank-sorted wedge run per chunk, each
         # pair's wedges in ascending-centre order — the order the
         # oracle's (u, v, k) sort produces.
-        counts = np.zeros(k1, dtype=np.int64)
-        runs: List[_WedgeRunReader] = []
+        bounds = _merge_bounds(offsets_uv, budget)
+        runs: List[_WedgeRun] = []
         try:
             for chunk in chunks:
                 if cancel is not None:
@@ -810,28 +810,17 @@ class MmapPairStore(PairStore):
                     path = os.path.join(spill_dir, f"wedges{len(runs)}.bin")
                     run = _spill_wedge_run(
                         path, indptr, indices, weights, eids, chunk,
-                        table, n, index_arr, counts,
+                        table, n, index_arr, bounds,
                     )
                 if run is None:
                     continue
                 tracer.count("spill_runs")
                 tracer.count("bytes_spilled", run.count * _STREAM_RECORD_BYTES)
                 runs.append(run)
-            offsets_uv = np.zeros(k1 + 1, dtype=np.int64)
-            np.cumsum(counts, out=offsets_uv[1:])
-            k2 = int(offsets_uv[-1])
-            spec = PairFileSpec(path=spec.path, k1=k1, k2=k2)
             dots = np.empty(k1, dtype=np.float64)
             temp_path = os.path.join(spill_dir, "wedges.tmp")
-            # Split the budget across the run readers: merge-time
-            # residency is runs x buffer, not runs x default.
-            per_run = _stream_records(budget) // max(1, len(runs))
-            for run in runs:
-                run.set_buffer_records(max(256, per_run))
             with tracer.span("storage:merge", runs=len(runs), k1=k1):
-                _merge_wedge_runs(
-                    runs, offsets_uv, dots, temp_path, budget, cancel
-                )
+                _merge_wedge_runs(runs, bounds, dots, temp_path, cancel)
         finally:
             for run in runs:
                 run.close()
@@ -852,7 +841,7 @@ class MmapPairStore(PairStore):
             sims,
             pair_u,
             pair_v,
-            _interleaved_windows(_map_i64(temp_path, 0, 2 * k2), gather, window),
+            _interleaved_windows(_map(temp_path, np.int64, 0, 2 * k2), gather, window),
             cancel,
         )
         os.unlink(temp_path)

@@ -291,8 +291,7 @@ def _window_sweep(
             stop = min(k2, start + CHECK_INTERVAL)
             merges += merge_run(c1, c2, start, stop)
         pairs = merge_pair_positions(merges, offsets)
-        for r, (m, similarity) in enumerate(zip(merges, sims[pairs].tolist()), 1):
-            builder.record(r, m[1], m[2], m[3], similarity)
+        builder.record_run(1, merges, sims[pairs].tolist())
     r = len(merges)
     tracer.count("merges", r)
     return builder.build(), index, r

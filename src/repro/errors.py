@@ -113,13 +113,15 @@ class RunCancelledError(ReproError):
 
 
 class StorageError(ReproError, OSError):
-    """Writing the out-of-core pair store failed (a full disk, say).
+    """Writing or mapping the out-of-core pair store failed.
 
-    Raised from :class:`~repro.core.storage.MmapPairStore`'s builds,
-    chained from the original :class:`OSError` and carrying its
-    ``errno``; ``filename`` names the spill directory, which is removed
-    before this propagates.  It is an :class:`OSError` too, so callers
-    that catch that keep working.
+    Raised from :class:`~repro.core.storage.MmapPairStore`'s builds
+    (a full disk, say), chained from the original :class:`OSError` and
+    carrying its ``errno``; ``filename`` names the spill directory,
+    which is removed before this propagates.  Also raised, naming the
+    file in its message, when a ``pairs.bin`` is shorter than its
+    :class:`~repro.core.storage.PairFileSpec` (truncated or stale).  It
+    is an :class:`OSError` too, so callers that catch that keep working.
     """
 
 

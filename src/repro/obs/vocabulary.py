@@ -57,8 +57,10 @@ SPANS: FrozenSet[str] = frozenset(
         "runtime:copy",
         "runtime:compute",
         "runtime:merge",
-        # Out-of-core pair store: one spill span per sorted run, one
-        # merge span per build, one window span per bounded read.
+        # Out-of-core pair store: one pair-table span and one merge
+        # span per streaming build, one spill span per sorted run, one
+        # window span per bounded read.
+        "storage:pairs",
         "storage:spill",
         "storage:merge",
         "storage:window",

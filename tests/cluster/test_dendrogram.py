@@ -57,6 +57,28 @@ class TestMergeRecord:
         assert b.num_merges == 0
 
 
+    def test_record_run_equals_record_loop(self):
+        records = [(0, 3, 2, 2), (4, 0, 1, 0), (9, 5, 0, 0)]
+        sims = [0.9, 0.5, 0.25]
+        one = DendrogramBuilder(6)
+        one.record(1, 4, 5, 4)
+        loop = DendrogramBuilder(6)
+        loop.record(1, 4, 5, 4)
+        one.record_run(2, records, sims)
+        for level, (_, left, right, parent), sim in zip(range(2, 5), records, sims):
+            loop.record(level, left, right, parent, sim)
+        assert one.build().merges == loop.build().merges
+        assert all(type(m) is Merge for m in one.build().merges)
+
+    def test_record_run_checks_before_recording(self):
+        b = DendrogramBuilder(6)
+        with pytest.raises(ClusteringError, match="level=2, left=2, right=3"):
+            b.record_run(1, [(0, 0, 1, 0), (1, 2, 3, 3)], [0.5, 0.4])
+        with pytest.raises(ClusteringError, match="one similarity per record"):
+            b.record_run(1, [(0, 0, 1, 0)], [])
+        assert b.num_merges == 0
+
+
 class TestDendrogram:
     def test_basic_counts(self):
         d = build_simple()

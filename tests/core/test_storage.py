@@ -5,6 +5,7 @@ from __future__ import annotations
 import errno
 import os
 import pickle
+import sys
 import tempfile
 
 import numpy as np
@@ -292,6 +293,21 @@ class _CancelOnFirstSpill(Sink):
             self.token.cancel("mid sweep B")
 
 
+class _TripAtCheckpoint(CancelToken):
+    """Notes the function of every checkpoint; trips at the ``at``-th."""
+
+    def __init__(self, at) -> None:
+        super().__init__()
+        self.at = at
+        self.stages = []
+
+    def raise_if_cancelled(self) -> None:
+        self.stages.append(sys._getframe(1).f_code.co_name)
+        if len(self.stages) == self.at:
+            self.cancel(f"checkpoint {self.at}")
+        super().raise_if_cancelled()
+
+
 class TestCleanup:
     def test_close_removes_spill_dir(self, tmp_path):
         graph = generators.caveman_graph(3, 4)
@@ -368,6 +384,41 @@ class TestCleanup:
             )
         assert "wedges0.bin" in sink.seen
         assert os.listdir(str(tmp_path)) == []
+
+    def test_streaming_build_cancelled_at_every_checkpoint(self, tmp_path):
+        # Count the build's checkpoints (Sweep A chunks, Sweep B chunks,
+        # merge windows, write windows), then trip the token at each in
+        # turn.  An empty storage dir means neither the spill dir nor
+        # any wedges*.bin / wedges.tmp file outlived the cancel.
+        graph = generators.caveman_graph(3, 4)
+        _, index_arr = _inputs(graph)
+
+        def build(token):
+            return MmapPairStore.build_streaming(
+                graph,
+                index_arr,
+                storage_dir=str(tmp_path),
+                memory_budget_bytes=1,
+                cancel=token,
+            )
+
+        probe = _TripAtCheckpoint(None)
+        build(probe).close()
+        assert set(probe.stages) == {
+            "_pair_table",
+            "_build_file_streaming",
+            "_merge_wedge_runs",
+            "_write_pairs_file",
+        }
+        chunks = probe.stages.count("_pair_table")
+        assert chunks > 1
+        assert probe.stages.count("_build_file_streaming") == chunks
+        for k in range(1, len(probe.stages) + 1):
+            token = _TripAtCheckpoint(k)
+            with pytest.raises(RunCancelledError, match=f"checkpoint {k}$"):
+                build(token)
+            assert len(token.stages) == k
+            assert os.listdir(str(tmp_path)) == []
 
     def test_cancelled_build_cleans_spill_dir(self, tmp_path):
         graph = generators.caveman_graph(3, 4)
@@ -540,6 +591,23 @@ class TestStreamingInit:
         assert tracer.counters.get("bytes_spilled", 0) > 0
         assert os.listdir(str(tmp_path)) == []
 
+    def test_pair_table_span(self, tmp_path):
+        graph = generators.caveman_graph(3, 4)
+        columns, index_arr = _inputs(graph)
+        sink = MemorySink()
+        store = MmapPairStore.build_streaming(
+            graph,
+            index_arr,
+            storage_dir=str(tmp_path),
+            memory_budget_bytes=1,
+            tracer=Tracer([sink]),
+        )
+        store.close()
+        spans = [r for r in sink.spans if r.name == "storage:pairs"]
+        spills = [r for r in sink.spans if r.name == "storage:spill"]
+        assert len(spans) == 1
+        assert spans[0].attrs == {"chunks": len(spills), "k1": columns.k1}
+
     def test_streaming_cancelled_build_cleans_spill_dir(self, tmp_path):
         graph = generators.caveman_graph(4, 5)
         index_arr = np.asarray(build_edge_index(graph, None), dtype=np.int64)
@@ -584,6 +652,43 @@ def _small_graphs(draw):
     )
     weight = st.sampled_from([0.5, 1.0, 1.0, 3.0]) | st.floats(0.1, 10.0)
     return Graph.from_edge_list([(a, b, draw(weight)) for a, b in pairs])
+
+
+@st.composite
+def _table_graphs(draw):
+    """``_small_graphs`` or a fan: a hub of degree 7-12 whose wedges
+    exceed a 1-byte budget's 16-wedge chunk cap, plus low-degree
+    centres along its rim."""
+    if draw(st.booleans()):
+        return draw(_small_graphs())
+    d = draw(st.integers(7, 12))
+    rim = [(i, i + 1) for i in range(1, d)]
+    return Graph.from_edge_list([(0, i) for i in range(1, d + 1)] + rim)
+
+
+class TestPairTable:
+    """Sweep A's table is the sorted unique packed keys of Phase I's pairs,
+    and its counts are their wedge counts."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(graph=_table_graphs(), budget=st.sampled_from([1, "quarter", None]))
+    def test_table_equals_phase_one_pairs(self, graph, budget):
+        from repro.fast.similarity import _csr_arrays
+
+        columns = fast_similarity_columns(graph)
+        if budget == "quarter":
+            budget = max(1, (columns.k1 * 32 + columns.k2 * 16) // 4)
+        indptr, indices, weights, eids = _csr_arrays(graph)
+        n = max(1, graph.num_vertices)
+        chunks = storage._center_chunks(indptr, budget)
+        table, counts = storage._pair_table(
+            indptr, indices, weights, eids, chunks, n, None
+        )
+        keys = columns.u.astype(np.int64) * n + columns.v
+        order = np.argsort(keys)
+        assert table.dtype == np.int64
+        np.testing.assert_array_equal(table, keys[order])
+        np.testing.assert_array_equal(counts, np.diff(columns.common_offsets)[order])
 
 
 class TestOneListGather:
@@ -677,6 +782,21 @@ class TestWriteFaults:
         with pytest.raises(StorageError) as info:
             self._build(True, tmp_path)
         self._check(info, tmp_path)
+
+    def test_truncated_pairs_file_named(self, tmp_path):
+        store = self._build(True, tmp_path)
+        spec = store.file_spec()
+        try:
+            stale = PairFileSpec(path=spec.path, k1=spec.k1, k2=spec.k2 + 1)
+            with pytest.raises(StorageError, match="truncated"):
+                stale.open_c2()
+            os.truncate(spec.path, spec.total_bytes - 8)
+            with pytest.raises(StorageError, match="truncated") as info:
+                spec.open_c2()
+            assert spec.path in str(info.value)
+            spec.open_c1()  # the sections before the cut still map
+        finally:
+            store.close()
 
     def test_run_surfaces_storage_error(self, monkeypatch, tmp_path):
         def full_disk(writer):

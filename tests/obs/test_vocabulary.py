@@ -34,6 +34,7 @@ class TestDeclaredNames:
             "sweep:batch_round",
             "sweep:reconcile",
             "sweep:transition",
+            "storage:pairs",
             "storage:spill",
             "storage:merge",
             "storage:window",
