@@ -449,8 +449,8 @@ def _pair_table(
 def _merge_bounds(offsets_uv: np.ndarray, budget: Optional[int]) -> np.ndarray:
     """Pair-rank bounds of the merge windows.
 
-    Each window holds whole pairs and at most one budget of wedges, or
-    a single pair that alone exceeds it.
+    Each window holds whole pairs and at most the streaming build's
+    per-budget record count of wedges, or one pair that alone exceeds it.
     """
     k1 = len(offsets_uv) - 1
     window_elems = max(1024, _stream_records(budget))
